@@ -32,8 +32,8 @@ int main() {
       metrics::FrameDetection frames;
       metrics::WindowConfusion windows;
       for (std::uint64_t t = 0; t < 3; ++t) {
-        const metrics::TrialResult trial =
-            runner.run_trial(attacks::ScenarioKind::kSingle, 50.0, t);
+        const metrics::InstrumentedTrial trial = runner.run_instrumented_trial(
+            "bit-entropy", attacks::ScenarioKind::kSingle, 50.0, t);
         frames += trial.frames;
         windows += trial.windows;
       }

@@ -24,8 +24,8 @@ int main() {
                      "1 s each, alpha = 5)");
 
   // --- One attacked window for the case-study overlay -----------------------
-  const metrics::TrialResult trial = runner.run_trial(
-      attacks::ScenarioKind::kSingle, /*frequency_hz=*/100.0,
+  const metrics::InstrumentedTrial trial = runner.run_instrumented_trial(
+      "bit-entropy", attacks::ScenarioKind::kSingle, /*frequency_hz=*/100.0,
       /*trial_seed=*/6);
 
   // Re-run a single attacked window manually to get its entropy vector.
@@ -48,7 +48,7 @@ int main() {
   });
   bus.run_until(3 * util::kSecond);
 
-  const ids::Detector detector(golden, {});
+  const ids::Detector detector(runner.train_shared(), {});
   const ids::DetectionResult detection = detector.evaluate(*attacked);
 
   util::Table table({"bit", "H_temp (mean)", "H range (train)",

@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "analysis/registry.h"
 #include "engine/fleet_engine.h"
 #include "ids/golden_template.h"
 #include "ids/pipeline.h"
@@ -84,7 +85,10 @@ void BM_Fleet_Throughput(benchmark::State& state) {
   for (auto _ : state) {
     engine::FleetConfig config;
     config.shards = shards;
-    engine::FleetEngine fleet(golden, config);
+    analysis::DetectorOptions options;
+    options.golden = golden;
+    engine::FleetEngine fleet(analysis::make_detector("bit-entropy", options),
+                              config);
     std::vector<engine::NamedSource> sources;
     for (int copy = 0; copy < kStreamsPerVehicle; ++copy) {
       for (std::size_t v = 0; v < traffic.size(); ++v) {

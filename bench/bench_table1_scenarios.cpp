@@ -72,7 +72,7 @@ std::pair<campaign::CampaignReport, campaign::CampaignReport> run_sweeps(
   // once per mode and hand the bundle to both runners (bit-entropy needs
   // no baseline models).
   metrics::ExperimentRunner master(spec.experiment);
-  metrics::SharedModels models;
+  model::StoredModels models;
   models.golden = master.train_shared();
   campaign::CampaignRunner scenario_runner(spec, models);
   campaign::CampaignRunner flood_runner(flood, models);

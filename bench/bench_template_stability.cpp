@@ -101,7 +101,7 @@ int main() {
   for (double alpha : {3.0, 4.0, 5.0, 6.0, 8.0, 10.0}) {
     ids::DetectorConfig detector_config;
     detector_config.alpha = alpha;
-    const ids::Detector detector(golden, detector_config);
+    const ids::Detector detector(runner.train_shared(), detector_config);
     std::size_t false_positives = 0;
     for (const auto& window : clean_windows) {
       if (detector.evaluate(window).alert) ++false_positives;

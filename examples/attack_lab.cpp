@@ -28,8 +28,8 @@ int main() {
   std::uint64_t seed = 0;
   for (std::uint32_t id : ids) {
     for (double f : frequencies) {
-      const metrics::TrialResult trial =
-          runner.run_single_id_trial(id, f, seed++);
+      const metrics::InstrumentedTrial trial =
+          runner.run_instrumented_single_id_trial("bit-entropy", id, f, seed++);
       table.add_row({can::CanId::standard(id).to_string(),
                      util::Table::num(f, 0),
                      util::Table::num(trial.injection_rate_arbitration, 3),

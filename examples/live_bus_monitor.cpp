@@ -20,6 +20,7 @@
 #include <thread>
 #include <vector>
 
+#include "analysis/registry.h"
 #include "attacks/scenario.h"
 #include "engine/fleet_engine.h"
 #include "metrics/experiment.h"
@@ -106,8 +107,9 @@ int main() {
   fleet_config.shards = 1;
   analysis::DetectorOptions detector_options;
   detector_options.id_pool = vehicle.id_pool();  // enables suspect inference
-  engine::FleetEngine engine(models, "bit-entropy", detector_options,
-                             fleet_config);
+  detector_options.adopt_models(models);
+  engine::FleetEngine engine(
+      analysis::make_detector("bit-entropy", detector_options), fleet_config);
 
   serve::ServeConfig serve_config;
   serve_config.uds_path = (tmp / (tag + ".sock")).string();

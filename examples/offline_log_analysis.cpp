@@ -9,6 +9,7 @@
 // candump and Vehicle-Spy-style CSV are auto-detected.
 #include <cstdio>
 #include <filesystem>
+#include <memory>
 #include <set>
 #include <string>
 
@@ -98,8 +99,9 @@ int main(int argc, char** argv) {
       }
     }
   }
-  const ids::GoldenTemplate golden = builder.build();
-  std::printf("template: %zu training windows\n", golden.training_windows);
+  const auto golden =
+      std::make_shared<const ids::GoldenTemplate>(builder.build());
+  std::printf("template: %zu training windows\n", golden->training_windows);
 
   // --- Analyse ----------------------------------------------------------------
   // The ID pool for inference is everything seen in training.

@@ -25,9 +25,9 @@ int main() {
   metrics::ExperimentConfig config;
   config.training_windows = ids::kPaperTrainingWindows;
   metrics::ExperimentRunner runner(config);
-  const ids::GoldenTemplate& golden = runner.train();
+  const auto golden = runner.train_shared();
   std::printf("golden template trained on %zu windows\n",
-              golden.training_windows);
+              golden->training_windows);
 
   // --- 3. Simulate a drive with a live injection attack ---------------------
   can::BusSimulator bus(vehicle.config().bus);

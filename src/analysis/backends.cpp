@@ -111,7 +111,7 @@ void BitEntropyBackend::on_frames(const can::TimedId* frames,
   report_scratch_.clear();
 }
 
-void BitEntropyBackend::rebind_models(const ModelRefs& models) {
+void BitEntropyBackend::rebind_models(const model::StoredModels& models) {
   if (!models.golden) return;
   // rebind() validates the width before mutating anything, so a throw
   // leaves both the pipeline and golden_ untouched.
@@ -219,7 +219,7 @@ std::optional<WindowVerdict> SymbolEntropyBackend::on_frame(
   return std::nullopt;
 }
 
-void SymbolEntropyBackend::rebind_models(const ModelRefs& models) {
+void SymbolEntropyBackend::rebind_models(const model::StoredModels& models) {
   if (!models.muter) return;
   pretrained_ = models.muter;
   model_ = pretrained_;
@@ -345,7 +345,7 @@ std::optional<WindowVerdict> IntervalBackend::on_frame(util::TimeNs timestamp,
   return emitted;
 }
 
-void IntervalBackend::rebind_models(const ModelRefs& models) {
+void IntervalBackend::rebind_models(const model::StoredModels& models) {
   if (!models.interval) return;
   if (!models.interval->trained()) {
     throw std::invalid_argument(
@@ -491,7 +491,7 @@ std::optional<WindowVerdict> EnsembleDetector::on_frame(util::TimeNs timestamp,
   return combine(emitted);
 }
 
-void EnsembleDetector::rebind_models(const ModelRefs& models) {
+void EnsembleDetector::rebind_models(const model::StoredModels& models) {
   // Dry-run on throwaway clones first (cheap: trained state is shared,
   // runtime state starts pristine), so an incompatible model throws
   // before any live member has been touched.

@@ -48,7 +48,7 @@ class BitEntropyBackend final : public DetectorBackend,
                  std::vector<WindowVerdict>& out) override;
   /// Takes `models.golden` (same identifier width required); the open
   /// window's bit counts, clock, and counters are kept.
-  void rebind_models(const ModelRefs& models) override;
+  void rebind_models(const model::StoredModels& models) override;
   std::optional<WindowVerdict> finish() override;
   [[nodiscard]] const ids::PipelineCounters& counters() const override {
     return counters_;
@@ -98,7 +98,7 @@ class SymbolEntropyBackend final : public DetectorBackend,
   /// any in-progress self-calibration is abandoned. The open window's
   /// symbol counts are kept — only the band the next close is judged
   /// against changes.
-  void rebind_models(const ModelRefs& models) override;
+  void rebind_models(const model::StoredModels& models) override;
   std::optional<WindowVerdict> finish() override;
   [[nodiscard]] const ids::PipelineCounters& counters() const override {
     return counters_;
@@ -147,7 +147,7 @@ class IntervalBackend final : public DetectorBackend,
   /// The per-ID arrival tracking lives inside the detector, so the
   /// currently-open window restarts violation counting at the swap; the
   /// window clock and counters are kept.
-  void rebind_models(const ModelRefs& models) override;
+  void rebind_models(const model::StoredModels& models) override;
   std::optional<WindowVerdict> finish() override;
   [[nodiscard]] const ids::PipelineCounters& counters() const override {
     return counters_;
@@ -200,10 +200,10 @@ class EnsembleDetector final : public DetectorBackend {
 
   std::optional<WindowVerdict> on_frame(util::TimeNs timestamp,
                                         const can::CanId& id) override;
-  /// Forwards to every member (each takes its slice of the refs). All-or-
-  /// nothing: members are validated against the refs first, so an
+  /// Forwards to every member (each takes its slice of the set). All-or-
+  /// nothing: members are validated against the set first, so an
   /// incompatible model leaves every member untouched.
-  void rebind_models(const ModelRefs& models) override;
+  void rebind_models(const model::StoredModels& models) override;
   std::optional<WindowVerdict> finish() override;
   [[nodiscard]] const ids::PipelineCounters& counters() const override {
     return counters_;

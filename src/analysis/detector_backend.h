@@ -23,12 +23,8 @@
 
 #include "can/frame.h"
 #include "ids/pipeline.h"
+#include "model/store.h"
 #include "util/time.h"
-
-namespace canids::baselines {
-class MuterEntropyIds;
-class IntervalIds;
-}  // namespace canids::baselines
 
 namespace canids::analysis {
 
@@ -106,15 +102,9 @@ class TrainableBackend {
   virtual void import_model(std::istream& in) = 0;
 };
 
-/// The immutable trained-model set a RUNNING backend can adopt in place —
-/// the hot-reload unit the live fleet service swaps on SIGHUP. Null entries
-/// mean "keep what you have"; each backend takes its slice and ignores the
-/// rest (mirroring DetectorOptions at construction time).
-struct ModelRefs {
-  std::shared_ptr<const ids::GoldenTemplate> golden;
-  std::shared_ptr<const baselines::MuterEntropyIds> muter;
-  std::shared_ptr<const baselines::IntervalIds> interval;
-};
+/// The hot-reload model set under its older name; backends outside src/
+/// (perfbench's ClockedBackend) still override rebind_models with it.
+using ModelRefs = model::StoredModels;
 
 /// Polymorphic detector: feed timestamped identifiers, receive window
 /// verdicts. Single-threaded per instance; share nothing mutable.
@@ -151,7 +141,8 @@ class DetectorBackend {
     }
   }
 
-  /// Hot-swap shared trained models IN PLACE: unlike
+  /// Hot-swap shared trained models IN PLACE — the unit the live fleet
+  /// service swaps on SIGHUP, each backend taking its slice. Unlike
   /// TrainableBackend::import_model (a cold restart), the open window's
   /// accumulated state, the window clock, and all counters are kept — only
   /// the immutable model the next window close is judged against changes.
@@ -164,7 +155,9 @@ class DetectorBackend {
   /// entries keep the current model. Throws std::invalid_argument when a
   /// supplied model is incompatible (e.g. a golden template of a different
   /// identifier width), leaving the backend untouched. Default: no-op.
-  virtual void rebind_models(const ModelRefs& models) { (void)models; }
+  virtual void rebind_models(const model::StoredModels& models) {
+    (void)models;
+  }
 
   /// Close and judge the partially-filled final window, if any.
   virtual std::optional<WindowVerdict> finish() = 0;

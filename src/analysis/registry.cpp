@@ -68,6 +68,12 @@ namespace {
 
 }  // namespace
 
+void DetectorOptions::adopt_models(const model::StoredModels& models) {
+  if (models.golden) golden = models.golden;
+  if (models.muter) muter_model = models.muter;
+  if (models.interval) interval_model = models.interval;
+}
+
 DetectorRegistry& DetectorRegistry::instance() {
   static DetectorRegistry* registry = [] {
     auto* built = new DetectorRegistry();

@@ -53,6 +53,11 @@ struct DetectorOptions {
   std::vector<std::string> ensemble_members = {"bit-entropy", "symbol-entropy",
                                                "interval"};
   EnsemblePolicy ensemble_policy = EnsemblePolicy::kVote;
+
+  /// Point the model slots at every model `models` carries; null entries
+  /// leave their slot alone, so a baseline the set lacks self-calibrates.
+  /// The one overlay from a loaded or trained model set onto options.
+  void adopt_models(const model::StoredModels& models);
 };
 
 /// Thrown by make_detector for names not in the registry; the message

@@ -5,13 +5,11 @@
 #include <chrono>
 #include <exception>
 #include <filesystem>
-#include <fstream>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include "analysis/registry.h"
-#include "ids/golden_template.h"
 #include "trace/trace_io.h"
 
 namespace canids::campaign {
@@ -94,7 +92,7 @@ CampaignRunner::CampaignRunner(CampaignSpec spec) : spec_(std::move(spec)) {
 }
 
 CampaignRunner::CampaignRunner(CampaignSpec spec,
-                               metrics::SharedModels pretrained)
+                               model::StoredModels pretrained)
     : CampaignRunner(std::move(spec)) {
   models_ = std::move(pretrained);
 }
@@ -125,18 +123,7 @@ void CampaignRunner::train_once() {
   if (!spec_.model_path.empty()) {
     // Full cold start: every model the bundle carries is adopted; only
     // pieces the bundle lacks (and a requested backend needs) are trained.
-    master.adopt_models(metrics::SharedModels::from_file(spec_.model_path));
-  }
-  if (!spec_.template_path.empty()) {
-    std::ifstream in(spec_.template_path);
-    if (!in) {
-      throw std::runtime_error("campaign: cannot read template " +
-                               spec_.template_path);
-    }
-    metrics::SharedModels pretrained;
-    pretrained.golden = std::make_shared<const ids::GoldenTemplate>(
-        ids::GoldenTemplate::load(in));
-    master.adopt_models(pretrained);
+    master.adopt_models(model::load_models_file(spec_.model_path));
   }
 
   // Train only what the requested backends can actually use (the same
@@ -151,14 +138,13 @@ void CampaignRunner::train_once() {
   }
 
   models_.golden = master.train_shared();
-  models_.training_snapshots = master.training_snapshots();
   if (need_muter) models_.muter = master.muter_model();
   if (need_interval) models_.interval = master.interval_model();
   stats_.train_seconds = elapsed_seconds(started);
   stats_.training_passes = master.training_passes();
 }
 
-const metrics::SharedModels& CampaignRunner::models() {
+const model::StoredModels& CampaignRunner::models() {
   std::call_once(trained_, [this] { train_once(); });
   return models_;
 }

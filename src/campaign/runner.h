@@ -19,6 +19,7 @@
 #include "campaign/report.h"
 #include "campaign/spec.h"
 #include "metrics/experiment.h"
+#include "model/store.h"
 #include "trace/capture_labels.h"
 
 namespace canids::campaign {
@@ -49,7 +50,7 @@ class CampaignRunner {
   /// from a sibling campaign over the same ExperimentConfig). Absent
   /// entries are still trained once on the first run(); present ones are
   /// never re-trained.
-  CampaignRunner(CampaignSpec spec, metrics::SharedModels pretrained);
+  CampaignRunner(CampaignSpec spec, model::StoredModels pretrained);
 
   /// Execute the full grid and aggregate. Training happens once, on the
   /// first call; later runs (e.g. a re-sweep with the same runner) reuse
@@ -74,7 +75,7 @@ class CampaignRunner {
   /// The shared model set, cold-starting or training it first if needed —
   /// the handle `campaign --save-models` persists so a later run (or a
   /// fleet deployment) skips training entirely.
-  [[nodiscard]] const metrics::SharedModels& models();
+  [[nodiscard]] const model::StoredModels& models();
 
   /// Worker count a spec resolves to on this machine: `spec.workers`, or
   /// hardware concurrency when 0, clamped to the trial count so a pool
@@ -94,7 +95,7 @@ class CampaignRunner {
   CampaignSpec spec_;
   trace::CaptureLabels labels_;
   std::once_flag trained_;
-  metrics::SharedModels models_;
+  model::StoredModels models_;
   CampaignRunStats stats_;
 };
 

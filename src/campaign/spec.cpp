@@ -360,11 +360,6 @@ void CampaignSpec::validate() const {
   if (detectors.empty()) {
     throw std::invalid_argument("campaign spec: no detectors");
   }
-  if (!template_path.empty() && !model_path.empty()) {
-    throw std::invalid_argument(
-        "campaign spec: template_path and model_path are mutually "
-        "exclusive — the bundle already carries the golden template");
-  }
   if (capture_mode()) {
     // The synthetic-grid axes carry no meaning over recorded traffic;
     // captures themselves are validated when the runner resolves the
@@ -568,8 +563,6 @@ CampaignSpec CampaignSpec::from_json(std::string_view text) {
       spec.experiment.pipeline.window.track_pairs = as_bool(key, value);
     } else if (key == "period_scale") {
       spec.experiment.vehicle.period_scale = as_number(key, value);
-    } else if (key == "template_path") {
-      spec.template_path = as_string(key, value);
     } else if (key == "model_path") {
       spec.model_path = as_string(key, value);
     } else if (key == "capture_dir") {
@@ -633,11 +626,11 @@ std::string CampaignSpec::to_json() const {
       << (experiment.pipeline.window.track_pairs ? "true" : "false") << ",\n";
   out << "  \"period_scale\": " << json_number(experiment.vehicle.period_scale)
       << ",\n";
-  // `template_path`/`model_path` are deliberately NOT serialized: like
-  // `workers` below, where the models came from is an execution knob, and
-  // a bundle cold-start must produce a byte-identical report to the
-  // train-in-process run of the same spec. (from_json still accepts both
-  // keys, so spec files can request a cold start.)
+  // `model_path` is deliberately NOT serialized: like `workers` below,
+  // where the models came from is an execution knob, and a bundle
+  // cold-start must produce a byte-identical report to the
+  // train-in-process run of the same spec. (from_json still accepts the
+  // key, so spec files can request a cold start.)
   if (capture_mode()) {
     out << "  \"capture_dir\": \"" << json_escape(capture_dir) << "\",\n";
     out << "  \"captures\": [";

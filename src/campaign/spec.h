@@ -94,14 +94,10 @@ struct CampaignSpec {
   /// Base experiment: master seed, timings, vehicle and pipeline knobs.
   metrics::ExperimentConfig experiment;
 
-  /// Optional pretrained golden template (cold start — the campaign loads
-  /// it instead of training in-process). Legacy: model_path supersedes it.
-  std::string template_path;
-
   /// Optional pretrained model bundle (see model::ModelBundle): the
   /// campaign cold-starts EVERY detector from it and performs zero
   /// training passes when the bundle covers all models the requested
-  /// detectors need. Mutually exclusive with template_path.
+  /// detectors need.
   std::string model_path;
 
   // ---- capture-replay mode -------------------------------------------------

@@ -9,7 +9,6 @@
 #include <thread>
 #include <utility>
 
-#include "analysis/backends.h"
 #include "util/contracts.h"
 
 namespace canids::engine {
@@ -169,30 +168,6 @@ FleetEngine::FleetEngine(std::unique_ptr<analysis::DetectorBackend> prototype,
   }
 }
 
-FleetEngine::FleetEngine(std::shared_ptr<const ids::GoldenTemplate> golden,
-                         FleetConfig config)
-    : FleetEngine(
-          [&]() -> std::unique_ptr<analysis::DetectorBackend> {
-            CANIDS_EXPECTS(golden != nullptr);
-            return std::make_unique<analysis::BitEntropyBackend>(
-                std::move(golden), std::vector<std::uint32_t>{},
-                config.pipeline);
-          }(),
-          config) {}
-
-FleetEngine::FleetEngine(const model::StoredModels& models,
-                         std::string_view detector,
-                         analysis::DetectorOptions options,
-                         FleetConfig config)
-    : FleetEngine(
-          [&]() -> std::unique_ptr<analysis::DetectorBackend> {
-            if (models.golden) options.golden = models.golden;
-            if (models.muter) options.muter_model = models.muter;
-            if (models.interval) options.interval_model = models.interval;
-            return analysis::make_detector(detector, options);
-          }(),
-          config) {}
-
 FleetEngine::~FleetEngine() {
   if (started_.load(std::memory_order_acquire) && !finished_) {
     abort_.store(true, std::memory_order_release);
@@ -253,15 +228,15 @@ void FleetEngine::start() {
   }
 }
 
-void FleetEngine::reload_models(analysis::ModelRefs models) {
+void FleetEngine::reload_models(model::StoredModels models) {
   {
     const std::lock_guard<std::mutex> lock(reload_mutex_);
     // The prototype is the validator: an incompatible model throws here and
     // neither the prototype nor any stream has changed.
     prototype_->rebind_models(models);
-    reload_refs_ = std::move(models);
-    // Publish AFTER the refs are in place: a worker that observes the new
-    // generation takes reload_mutex_ before reading reload_refs_.
+    reload_models_ = std::move(models);
+    // Publish AFTER the models are in place: a worker that observes the new
+    // generation takes reload_mutex_ before reading reload_models_.
     generation_.fetch_add(1, std::memory_order_release);
   }
   if (config_.events) {
@@ -405,9 +380,9 @@ void FleetEngine::worker_loop(Shard& shard) {
       if (stream->generation != generation) {
         // A reload happened: rebind this stream's backend in place between
         // drain batches (window state and queue survive; reload_models
-        // already validated the refs against the prototype).
+        // already validated the models against the prototype).
         const std::lock_guard<std::mutex> lock(reload_mutex_);
-        stream->backend->rebind_models(reload_refs_);
+        stream->backend->rebind_models(reload_models_);
         stream->generation = generation_.load(std::memory_order_acquire);
         progressed = true;
       }

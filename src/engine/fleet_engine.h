@@ -29,7 +29,6 @@
 #include <vector>
 
 #include "analysis/detector_backend.h"
-#include "analysis/registry.h"
 #include "engine/alert_sink.h"
 #include "engine/spsc_queue.h"
 #include "ids/pipeline.h"
@@ -64,10 +63,6 @@ struct FleetConfig {
   /// Max frames a worker drains from one stream before rotating to its
   /// next stream (fairness bound under load).
   std::size_t drain_batch = 256;
-  /// IDS configuration applied by the golden-template convenience
-  /// constructor (ignored when a prototype backend is supplied — the
-  /// prototype already carries its configuration).
-  ids::PipelineConfig pipeline;
   /// Retain every WindowVerdict per stream (memory grows with window count;
   /// meant for the determinism tests and small fleets, not production).
   bool collect_verdicts = false;
@@ -151,25 +146,11 @@ class FleetEngine {
     StreamState* state_;
   };
 
-  /// Primary constructor: any registered detector backend; per-stream
-  /// instances are stamped out with prototype->clone_for_stream().
+  /// Any detector backend (typically analysis::make_detector over options
+  /// carrying a loaded model set); per-stream instances are stamped out
+  /// with prototype->clone_for_stream().
   FleetEngine(std::unique_ptr<analysis::DetectorBackend> prototype,
               FleetConfig config = {});
-
-  /// Convenience: the paper's bit-entropy detector against a shared golden
-  /// template, configured by config.pipeline — the pre-redesign signature.
-  explicit FleetEngine(std::shared_ptr<const ids::GoldenTemplate> golden,
-                       FleetConfig config = {});
-
-  /// Cold start from persisted models (a loaded bundle): builds the named
-  /// registry backend with every model the bundle carries as pretrained
-  /// shared state — no stream self-calibrates a model the bundle already
-  /// has. `options` supplies the remaining knobs (windowing, alpha, id
-  /// pool); its golden/muter_model/interval_model slots are overridden by
-  /// the bundle's non-null entries. Throws UnknownDetectorError /
-  /// std::invalid_argument exactly like analysis::make_detector.
-  FleetEngine(const model::StoredModels& models, std::string_view detector,
-              analysis::DetectorOptions options, FleetConfig config = {});
   ~FleetEngine();
 
   FleetEngine(const FleetEngine&) = delete;
@@ -203,7 +184,7 @@ class FleetEngine {
   /// its streams in-place between drain batches — no queue is flushed, no
   /// window state is lost, no stream disconnects. Callable from any
   /// thread while the engine runs.
-  void reload_models(analysis::ModelRefs models);
+  void reload_models(model::StoredModels models);
   /// Completed reload_models generations (0 at start; streams may lag the
   /// latest generation by one drain batch).
   [[nodiscard]] std::uint64_t model_generation() const noexcept {
@@ -270,9 +251,9 @@ class FleetEngine {
   std::vector<std::unique_ptr<Shard>> shards_;
   AlertSink alerts_;
   ids::PipelineCounters totals_;
-  /// Guards prototype_ rebinds/clones and reload_refs_.
+  /// Guards prototype_ rebinds/clones and reload_models_.
   std::mutex reload_mutex_;
-  analysis::ModelRefs reload_refs_;
+  model::StoredModels reload_models_;
   std::atomic<std::uint64_t> generation_{0};
   std::atomic<bool> started_{false};
   HotMetrics hot_;

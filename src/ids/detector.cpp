@@ -25,10 +25,6 @@ Detector::Detector(std::shared_ptr<const GoldenTemplate> golden,
   }
 }
 
-Detector::Detector(GoldenTemplate golden, DetectorConfig config)
-    : Detector(std::make_shared<const GoldenTemplate>(std::move(golden)),
-               config) {}
-
 DetectionResult Detector::evaluate(const WindowSnapshot& window) const {
   const GoldenTemplate& golden = *golden_;
   CANIDS_EXPECTS(window.width() == golden.width);

@@ -64,13 +64,10 @@ struct DetectionResult {
 
 class Detector {
  public:
-  /// Primary constructor: shares an immutable template. Thousands of
-  /// per-stream detectors (see engine::FleetEngine) reference one copy.
+  /// Shares an immutable template. Thousands of per-stream detectors (see
+  /// engine::FleetEngine) reference one copy.
   Detector(std::shared_ptr<const GoldenTemplate> golden,
            DetectorConfig config = {});
-
-  /// Convenience: wraps a caller-owned template into a private shared copy.
-  explicit Detector(GoldenTemplate golden, DetectorConfig config = {});
 
   [[nodiscard]] DetectionResult evaluate(const WindowSnapshot& window) const;
 

@@ -80,12 +80,6 @@ InferenceEngine::InferenceEngine(std::shared_ptr<const GoldenTemplate> golden,
   }
 }
 
-InferenceEngine::InferenceEngine(GoldenTemplate golden,
-                                 std::vector<std::uint32_t> id_pool,
-                                 InferenceConfig config)
-    : InferenceEngine(std::make_shared<const GoldenTemplate>(std::move(golden)),
-                      std::move(id_pool), config) {}
-
 std::vector<BitConstraint> InferenceEngine::derive_constraints(
     const std::vector<double>& delta_p) const {
   std::vector<BitConstraint> constraints;

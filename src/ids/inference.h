@@ -72,15 +72,11 @@ struct InferenceResult {
 
 class InferenceEngine {
  public:
-  /// Primary constructor: shares an immutable template. `id_pool` is the
-  /// legal identifier set of the vehicle (ascending or not; it is sorted
-  /// internally). Must not be empty.
+  /// Shares an immutable template. `id_pool` is the legal identifier set
+  /// of the vehicle (ascending or not; it is sorted internally). Must not
+  /// be empty.
   InferenceEngine(std::shared_ptr<const GoldenTemplate> golden,
                   std::vector<std::uint32_t> id_pool,
-                  InferenceConfig config = {});
-
-  /// Convenience: wraps a caller-owned template into a private shared copy.
-  InferenceEngine(GoldenTemplate golden, std::vector<std::uint32_t> id_pool,
                   InferenceConfig config = {});
 
   /// Infer the injected identifier(s) from one (typically alerted) window.

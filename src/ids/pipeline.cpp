@@ -19,12 +19,6 @@ IdsPipeline::IdsPipeline(std::shared_ptr<const GoldenTemplate> golden,
   }
 }
 
-IdsPipeline::IdsPipeline(GoldenTemplate golden,
-                         std::vector<std::uint32_t> id_pool,
-                         PipelineConfig config)
-    : IdsPipeline(std::make_shared<const GoldenTemplate>(std::move(golden)),
-                  std::move(id_pool), config) {}
-
 void IdsPipeline::rebind(std::shared_ptr<const GoldenTemplate> golden) {
   if (!golden) {
     throw std::invalid_argument("rebind: golden template must be non-null");

@@ -66,16 +66,12 @@ struct PipelineCounters {
 
 class IdsPipeline {
  public:
-  /// Primary constructor: shares one immutable template across any number
-  /// of pipelines (the fleet engine runs thousands of streams against a
-  /// single copy). An empty `id_pool` disables malicious-ID inference;
-  /// detection is unaffected.
+  /// Shares one immutable template across any number of pipelines (the
+  /// fleet engine runs thousands of streams against a single copy). An
+  /// empty `id_pool` disables malicious-ID inference; detection is
+  /// unaffected.
   IdsPipeline(std::shared_ptr<const GoldenTemplate> golden,
               std::vector<std::uint32_t> id_pool, PipelineConfig config = {});
-
-  /// Convenience: wraps a caller-owned template into a private shared copy.
-  IdsPipeline(GoldenTemplate golden, std::vector<std::uint32_t> id_pool,
-              PipelineConfig config = {});
 
   /// Feed one frame. Returns the report of a window this frame closed, if
   /// any (alerting or not; check report.detection.alert).

@@ -88,34 +88,6 @@ std::optional<util::TimeNs> InstrumentedTrial::detection_latency()
   return std::nullopt;
 }
 
-model::StoredModels SharedModels::stored() const {
-  model::StoredModels out;
-  out.golden = golden;
-  out.muter = muter;
-  out.interval = interval;
-  return out;
-}
-
-SharedModels SharedModels::from_stored(const model::StoredModels& stored) {
-  SharedModels models;
-  models.golden = stored.golden;
-  models.muter = stored.muter;
-  models.interval = stored.interval;
-  return models;
-}
-
-model::ModelBundle SharedModels::to_bundle() const {
-  return model::pack(stored());
-}
-
-SharedModels SharedModels::from_bundle(const model::ModelBundle& bundle) {
-  return from_stored(model::unpack(bundle));
-}
-
-SharedModels SharedModels::from_file(const std::filesystem::path& path) {
-  return from_stored(model::load_models_file(path));
-}
-
 ExperimentRunner::ExperimentRunner(ExperimentConfig config)
     : config_(config), vehicle_(config.vehicle) {
   CANIDS_EXPECTS(config_.training_windows >= 2);
@@ -129,7 +101,7 @@ const ids::GoldenTemplate& ExperimentRunner::train() {
 }
 
 std::shared_ptr<const ids::GoldenTemplate> ExperimentRunner::train_shared() {
-  if (golden_) return golden_;
+  if (models_.golden) return models_.golden;
   ++training_passes_;
 
   const util::TimeNs window = config_.pipeline.window.duration;
@@ -168,8 +140,9 @@ std::shared_ptr<const ids::GoldenTemplate> ExperimentRunner::train_shared() {
     ++behavior_index;
   }
 
-  golden_ = std::make_shared<const ids::GoldenTemplate>(builder.build());
-  return golden_;
+  models_.golden =
+      std::make_shared<const ids::GoldenTemplate>(builder.build());
+  return models_.golden;
 }
 
 const std::vector<ids::WindowSnapshot>& ExperimentRunner::training_snapshots() {
@@ -177,73 +150,17 @@ const std::vector<ids::WindowSnapshot>& ExperimentRunner::training_snapshots() {
   return training_snapshots_;
 }
 
-SharedModels ExperimentRunner::trained_models() {
-  SharedModels models;
-  models.golden = train_shared();
-  models.training_snapshots = training_snapshots_;
-  models.muter = muter_model();
-  models.interval = interval_model();
-  return models;
+model::StoredModels ExperimentRunner::trained_models() {
+  (void)train_shared();
+  (void)muter_model();
+  (void)interval_model();
+  return models_;
 }
 
-void ExperimentRunner::adopt_models(const SharedModels& models) {
-  if (models.golden) {
-    golden_ = models.golden;
-    training_snapshots_ = models.training_snapshots;
-  }
-  if (models.muter) muter_model_ = models.muter;
-  if (models.interval) interval_model_ = models.interval;
-}
-
-TrialResult ExperimentRunner::run_trial(attacks::ScenarioKind kind,
-                                        double frequency_hz,
-                                        std::uint64_t trial_seed) {
-  attacks::AttackConfig attack_config;
-  attack_config.frequency_hz = frequency_hz;
-  attack_config.start = config_.clean_lead_in;
-  attack_config.stop = config_.clean_lead_in + config_.attack_duration;
-
-  util::Rng rng(derive_seed(config_.seed, 77 + trial_seed));
-  attacks::BuiltAttack attack =
-      attacks::make_scenario(kind, vehicle_, attack_config, rng);
-  return run_built_attack(std::move(attack), frequency_hz, trial_seed);
-}
-
-TrialResult ExperimentRunner::run_single_id_trial(std::uint32_t id,
-                                                  double frequency_hz,
-                                                  std::uint64_t trial_seed) {
-  attacks::AttackConfig attack_config;
-  attack_config.frequency_hz = frequency_hz;
-  attack_config.start = config_.clean_lead_in;
-  attack_config.stop = config_.clean_lead_in + config_.attack_duration;
-
-  util::Rng rng(derive_seed(config_.seed, 991 + trial_seed));
-  attacks::BuiltAttack attack =
-      attacks::make_single_id_attack(attack_config, id, rng);
-  return run_built_attack(std::move(attack), frequency_hz, trial_seed);
-}
-
-TrialResult ExperimentRunner::run_built_attack(attacks::BuiltAttack attack,
-                                               double frequency_hz,
-                                               std::uint64_t trial_seed) {
-  const InstrumentedTrial trial = run_instrumented_attack(
-      "bit-entropy", std::move(attack), frequency_hz, trial_seed);
-
-  TrialResult result;
-  result.kind = trial.kind;
-  result.frequency_hz = trial.frequency_hz;
-  result.planned_ids = trial.planned_ids;
-  result.frames = trial.frames;
-  result.windows = trial.windows;
-  result.detection_rate = trial.detection_rate;
-  result.inference_accuracy = trial.inference_accuracy;
-  result.inference_hit_sum = trial.inference_hit_sum;
-  result.inference_windows = trial.inference_windows;
-  result.injection_rate_arbitration = trial.injection_rate_arbitration;
-  result.injection_rate_success = trial.injection_rate_success;
-  result.injected_transmitted = trial.injected_transmitted;
-  result.bus_load = trial.bus_load;
-  return result;
+void ExperimentRunner::adopt_models(const model::StoredModels& models) {
+  if (models.golden) models_.golden = models.golden;
+  if (models.muter) models_.muter = models.muter;
+  if (models.interval) models_.interval = models.interval;
 }
 
 InstrumentedTrial ExperimentRunner::run_instrumented_attack(
@@ -443,7 +360,7 @@ InstrumentedTrial ExperimentRunner::run_capture_trial(
 
 std::shared_ptr<const baselines::MuterEntropyIds>
 ExperimentRunner::muter_model() {
-  if (muter_model_) return muter_model_;
+  if (models_.muter) return models_.muter;
   ++training_passes_;
   // One accumulator across every behaviour's clean drive, mirroring the
   // pre-redesign CMP8 calibration (seed salt 100 + behaviour index).
@@ -460,14 +377,14 @@ ExperimentRunner::muter_model() {
       }
     }
   }
-  muter_model_ = std::make_shared<const baselines::MuterEntropyIds>(
+  models_.muter = std::make_shared<const baselines::MuterEntropyIds>(
       training, config_.muter);
-  return muter_model_;
+  return models_.muter;
 }
 
 std::shared_ptr<const baselines::IntervalIds>
 ExperimentRunner::interval_model() {
-  if (interval_model_) return interval_model_;
+  if (models_.interval) return models_.interval;
   ++training_passes_;
   // Seed salt 200 + behaviour index, mirroring the pre-redesign CMP11
   // calibration.
@@ -480,21 +397,9 @@ ExperimentRunner::interval_model() {
     }
   }
   model.finish_training();
-  interval_model_ =
+  models_.interval =
       std::make_shared<const baselines::IntervalIds>(std::move(model));
-  return interval_model_;
-}
-
-analysis::DetectorOptions ExperimentRunner::backend_options() {
-  analysis::DetectorOptions options;
-  options.pipeline = config_.pipeline;
-  options.golden = train_shared();
-  options.id_pool = vehicle_.id_pool();
-  options.muter = config_.muter;
-  options.interval = config_.interval;
-  options.muter_model = muter_model();
-  options.interval_model = interval_model();
-  return options;
+  return models_.interval;
 }
 
 ExperimentRunner::BackendModelNeeds ExperimentRunner::backend_model_needs(
@@ -512,15 +417,17 @@ ExperimentRunner::BackendModelNeeds ExperimentRunner::backend_model_needs(
 std::unique_ptr<analysis::DetectorBackend> ExperimentRunner::make_backend(
     std::string_view name) {
   // Train only the models the named backend can use.
+  const BackendModelNeeds needs = backend_model_needs(name);
+  model::StoredModels models;
+  models.golden = train_shared();
+  if (needs.muter) models.muter = muter_model();
+  if (needs.interval) models.interval = interval_model();
   analysis::DetectorOptions options;
   options.pipeline = config_.pipeline;
-  options.golden = train_shared();
   options.id_pool = vehicle_.id_pool();
   options.muter = config_.muter;
   options.interval = config_.interval;
-  const BackendModelNeeds needs = backend_model_needs(name);
-  if (needs.muter) options.muter_model = muter_model();
-  if (needs.interval) options.interval_model = interval_model();
+  options.adopt_models(models);
   return analysis::make_detector(name, options);
 }
 
@@ -605,7 +512,8 @@ ScenarioSummary ExperimentRunner::run_scenario(
   std::uint64_t trial_counter = 0;
   for (double frequency : frequencies) {
     for (int t = 0; t < trials_per_frequency; ++t) {
-      const TrialResult trial = run_trial(kind, frequency, trial_counter);
+      const InstrumentedTrial trial =
+          run_instrumented_trial("bit-entropy", kind, frequency, trial_counter);
       ++trial_counter;
       ++summary.trials;
       frames += trial.frames;

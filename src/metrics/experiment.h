@@ -47,29 +47,6 @@ struct ExperimentConfig {
   util::TimeNs comparison_duration = 12 * util::kSecond;
 };
 
-/// Outcome of one attack trial.
-struct TrialResult {
-  attacks::ScenarioKind kind{};
-  double frequency_hz = 0.0;
-  std::vector<std::uint32_t> planned_ids;
-
-  FrameDetection frames;          ///< D_r accounting
-  WindowConfusion windows;        ///< window-level confusion incl. FPs
-  double detection_rate = 0.0;    ///< frames.detection_rate()
-  /// Mean hit fraction of ID inference over alerted attack windows
-  /// (nullopt when the scenario is not inferable or nothing alerted).
-  std::optional<double> inference_accuracy;
-  /// Raw inference-event accounting backing inference_accuracy, used by
-  /// ScenarioSummary to weight by detection events as the paper does.
-  double inference_hit_sum = 0.0;
-  std::uint64_t inference_windows = 0;
-
-  double injection_rate_arbitration = 0.0;  ///< wins / arbitration attempts
-  double injection_rate_success = 0.0;      ///< transmitted / generated
-  std::uint64_t injected_transmitted = 0;
-  double bus_load = 0.0;
-};
-
 /// Outcome of one head-to-head comparison trial (§V.E): any registered
 /// detector backend over one attacked 12 s city drive. The same
 /// (vehicle_seed, attack_seed) pair replays the identical bus run, so two
@@ -121,10 +98,10 @@ struct WindowObservation {
                          const WindowObservation&) = default;
 };
 
-/// Outcome of one fully-instrumented campaign trial: any registered backend
-/// over an attacked drive, with the paper-methodology aggregates (frame
-/// detection rate, window confusion, inference accuracy, injection rate)
-/// PLUS the per-window observation log that ROC and latency metrics need.
+/// Outcome of one attack trial: any registered backend over an attacked
+/// drive, with the paper-methodology aggregates (frame detection rate,
+/// window confusion, inference accuracy, injection rate) PLUS the
+/// per-window observation log that ROC and latency metrics need.
 struct InstrumentedTrial {
   std::string backend;
   attacks::ScenarioKind kind{};
@@ -174,39 +151,6 @@ struct ScenarioSummary {
   double mean_injection_rate = 0.0;  ///< arbitration view, mean over trials
 };
 
-/// Everything an ExperimentRunner trains lazily, bundled as immutable
-/// shared handles. A campaign trains ONE runner and hands the bundle to
-/// every worker runner, so an N-trial sweep pays one training pass instead
-/// of one per worker (or, before this existed, one per trial call site).
-struct SharedModels {
-  std::shared_ptr<const ids::GoldenTemplate> golden;
-  std::vector<ids::WindowSnapshot> training_snapshots;
-  std::shared_ptr<const baselines::MuterEntropyIds> muter;
-  std::shared_ptr<const baselines::IntervalIds> interval;
-
-  /// The persistable slice of this set (training_snapshots are measurement
-  /// by-products, not a model) — the ONE conversion between the harness's
-  /// shared handles and the model store's.
-  [[nodiscard]] model::StoredModels stored() const;
-  [[nodiscard]] static SharedModels from_stored(
-      const model::StoredModels& stored);
-
-  /// Pack every trained model into a versioned ModelBundle. Throws
-  /// std::invalid_argument when nothing is trained.
-  [[nodiscard]] model::ModelBundle to_bundle() const;
-
-  /// Cold-start bundle load: every section becomes the corresponding
-  /// shared handle. A partial bundle yields a partial SharedModels —
-  /// absent pieces stay lazily trainable wherever the bundle is adopted.
-  [[nodiscard]] static SharedModels from_bundle(
-      const model::ModelBundle& bundle);
-
-  /// As from_bundle, over model::load_models_file (bundle or legacy bare
-  /// golden-template file).
-  [[nodiscard]] static SharedModels from_file(
-      const std::filesystem::path& path);
-};
-
 class ExperimentRunner {
  public:
   explicit ExperimentRunner(ExperimentConfig config = {});
@@ -227,18 +171,21 @@ class ExperimentRunner {
   [[nodiscard]] std::shared_ptr<const ids::GoldenTemplate> train_shared();
 
   /// The individual training windows (for Fig. 2 and the stability bench).
+  /// Only a runner that trained its own template has them: adopted models
+  /// carry none.
   [[nodiscard]] const std::vector<ids::WindowSnapshot>& training_snapshots();
 
   /// Train everything this runner can train (golden template + both
-  /// baseline models) exactly once and return the bundle as shareable
-  /// immutable handles.
-  [[nodiscard]] SharedModels trained_models();
+  /// baseline models) exactly once and return them as shareable immutable
+  /// handles. A campaign trains ONE runner and hands the set to every
+  /// worker runner, so an N-trial sweep pays one training pass.
+  [[nodiscard]] model::StoredModels trained_models();
 
-  /// Adopt pretrained models — typically another runner's trained_models()
-  /// — so this runner never pays its own training pass. Partial bundles
-  /// are fine: absent entries remain lazily trainable. Must be called
-  /// before anything triggered training on this runner.
-  void adopt_models(const SharedModels& models);
+  /// Adopt pretrained models — another runner's trained_models() or a
+  /// loaded bundle — so this runner never pays its own training pass.
+  /// Partial sets are fine: absent entries remain lazily trainable. Must be
+  /// called before anything triggered training on this runner.
+  void adopt_models(const model::StoredModels& models);
 
   /// Training passes this runner actually performed: one per model built
   /// from scratch (golden template, Müter band, interval periods). Adopted
@@ -249,19 +196,8 @@ class ExperimentRunner {
     return training_passes_;
   }
 
-  /// Run one attack trial. `trial_seed` individualises the run; the
-  /// driving behaviour is rotated from it.
-  [[nodiscard]] TrialResult run_trial(attacks::ScenarioKind kind,
-                                      double frequency_hz,
-                                      std::uint64_t trial_seed);
-
-  /// Convenience used by the Fig. 3 sweep: a single-ID injection trial
-  /// with a caller-chosen identifier.
-  [[nodiscard]] TrialResult run_single_id_trial(std::uint32_t id,
-                                                double frequency_hz,
-                                                std::uint64_t trial_seed);
-
-  /// Run `trials_per_frequency` trials at each frequency and aggregate.
+  /// Run `trials_per_frequency` bit-entropy trials at each frequency and
+  /// aggregate.
   [[nodiscard]] ScenarioSummary run_scenario(
       attacks::ScenarioKind kind, const std::vector<double>& frequencies,
       int trials_per_frequency);
@@ -288,13 +224,9 @@ class ExperimentRunner {
   [[nodiscard]] static BackendModelNeeds backend_model_needs(
       std::string_view name) noexcept;
 
-  /// DetectorOptions wired with this runner's golden template, the
-  /// vehicle's id pool, the pipeline config, and both pretrained baseline
-  /// models — make_detector(name, backend_options()) yields a ready
-  /// backend for any registered name.
-  [[nodiscard]] analysis::DetectorOptions backend_options();
-
-  /// Construct a registered backend from backend_options().
+  /// Construct a registered backend wired with this runner's pipeline
+  /// config, the vehicle's id pool, and the models the named backend
+  /// consumes (trained on first use).
   [[nodiscard]] std::unique_ptr<analysis::DetectorBackend> make_backend(
       std::string_view name);
 
@@ -314,17 +246,18 @@ class ExperimentRunner {
       std::uint64_t vehicle_seed,
       std::optional<std::uint64_t> attack_seed = std::nullopt);
 
-  // ---- instrumented campaign trials ---------------------------------------
+  // ---- attack trials --------------------------------------------------------
 
   /// Run one attack trial through any registered backend with full
-  /// per-window instrumentation. Timing, seeding, and scoring mirror
-  /// run_trial exactly, so with backend == "bit-entropy" the aggregate
-  /// numbers are bit-identical to run_trial's TrialResult.
+  /// per-window instrumentation. `trial_seed` individualises the run; the
+  /// driving behaviour is rotated from it. With backend == "bit-entropy"
+  /// this is the paper's trial (Table I, Fig. 2/3).
   [[nodiscard]] InstrumentedTrial run_instrumented_trial(
       std::string_view backend, attacks::ScenarioKind kind,
       double frequency_hz, std::uint64_t trial_seed);
 
-  /// Instrumented single-ID sweep trial (mirrors run_single_id_trial).
+  /// Single-ID sweep trial with a caller-chosen injected identifier (the
+  /// Fig. 3 axis).
   [[nodiscard]] InstrumentedTrial run_instrumented_single_id_trial(
       std::string_view backend, std::uint32_t id, double frequency_hz,
       std::uint64_t trial_seed);
@@ -351,9 +284,6 @@ class ExperimentRunner {
   [[nodiscard]] InstrumentedTrial run_instrumented_attack(
       std::string_view backend, attacks::BuiltAttack attack,
       double frequency_hz, std::uint64_t trial_seed);
-  [[nodiscard]] TrialResult run_built_attack(attacks::BuiltAttack attack,
-                                             double frequency_hz,
-                                             std::uint64_t trial_seed);
 
   [[nodiscard]] ComparisonTrial run_comparison(std::string_view backend,
                                                attacks::BuiltAttack attack,
@@ -362,10 +292,9 @@ class ExperimentRunner {
 
   ExperimentConfig config_;
   trace::SyntheticVehicle vehicle_;
-  std::shared_ptr<const ids::GoldenTemplate> golden_;
+  /// Trained or adopted models; null entries are trained on first use.
+  model::StoredModels models_;
   std::vector<ids::WindowSnapshot> training_snapshots_;
-  std::shared_ptr<const baselines::MuterEntropyIds> muter_model_;
-  std::shared_ptr<const baselines::IntervalIds> interval_model_;
   std::uint64_t training_passes_ = 0;
 };
 

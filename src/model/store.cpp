@@ -92,22 +92,17 @@ StoredModels load_models_file(const std::filesystem::path& path) {
   if (!in) {
     throw std::runtime_error("cannot read " + path.string());
   }
-  // Sniff the magic: bundle files start with "canidsMB", the legacy
-  // text format with "canids-golden-template v1".
-  char magic[8] = {};
+  char magic[kBundleMagic.size()] = {};
   in.read(magic, sizeof magic);
-  const bool is_bundle =
-      in.gcount() == sizeof magic &&
-      std::string_view(magic, sizeof magic) == kBundleMagic;
-  in.clear();
-  in.seekg(0);
-  if (is_bundle) {
-    return unpack(ModelBundle::load(in));
+  if (std::string_view(magic, static_cast<std::size_t>(in.gcount())) !=
+      kBundleMagic) {
+    throw std::runtime_error(
+        path.string() +
+        " is not a model bundle — re-run `canids train` on clean captures "
+        "to write one");
   }
-  StoredModels models;
-  models.golden = std::make_shared<const ids::GoldenTemplate>(
-      ids::GoldenTemplate::load(in));
-  return models;
+  in.seekg(0);
+  return unpack(ModelBundle::load(in));
 }
 
 void save_models_file(const std::filesystem::path& path,

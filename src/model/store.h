@@ -1,9 +1,11 @@
 // ModelStore: the typed layer over ModelBundle. A bundle is opaque named
-// sections; the store knows which section holds which trained model, how to
-// serialize each one, and how to read legacy artifacts (a bare
-// golden-template text file from before bundles existed). Everything that
-// persists or cold-starts trained detectors — `canids train --save`,
-// `detect|fleet|campaign --model`, metrics::SharedModels — goes through
+// sections; the store knows which section holds which trained model and how
+// to serialize each one. StoredModels is the one type that carries a trained
+// model set — through the experiment harness, campaigns, and hot reload
+// alike, and onto detector options via DetectorOptions::adopt_models — and a
+// bundle is the one file it is read from.
+// Everything that persists or cold-starts trained detectors (`canids
+// train`, `detect|fleet|serve|campaign --model`, serve RELOAD) goes through
 // these functions, so the set of known sections has exactly one home.
 #pragma once
 
@@ -53,9 +55,10 @@ struct StoredModels {
 /// windows, pairs yes"). Throws on unknown section names.
 [[nodiscard]] std::string describe_section(const ModelBundle::Section& section);
 
-/// Load trained models from a file: a ModelBundle (by magic), or — legacy —
-/// a bare golden-template text file, returned as a golden-only StoredModels.
-/// Throws std::runtime_error when the file cannot be opened or parsed.
+/// Load trained models from a ModelBundle file. Throws std::runtime_error
+/// when the file cannot be opened, is not a bundle (e.g. a bare
+/// golden-template file from before bundles existed — re-run `canids train`
+/// to write one), or does not parse.
 [[nodiscard]] StoredModels load_models_file(
     const std::filesystem::path& path);
 

@@ -458,13 +458,9 @@ std::string ServeServer::do_reload(const std::string& path) {
            "models argument or pass RELOAD <path>)";
   }
   try {
-    const model::StoredModels models = model::load_models_file(effective);
+    model::StoredModels models = model::load_models_file(effective);
     if (models.empty()) return "error: bundle holds no models";
-    analysis::ModelRefs refs;
-    refs.golden = models.golden;
-    refs.muter = models.muter;
-    refs.interval = models.interval;
-    engine_.reload_models(refs);
+    engine_.reload_models(std::move(models));
   } catch (const std::exception& e) {
     if (events_) {
       events_->emit("reload_error",

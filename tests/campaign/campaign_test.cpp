@@ -12,6 +12,7 @@
 #include "ids/golden_template.h"
 #include "metrics/experiment.h"
 #include "model/bundle.h"
+#include "model/store.h"
 #include "trace/trace_io.h"
 #include "util/rng.h"
 
@@ -423,8 +424,40 @@ TEST(CampaignRunnerTest, RejectsUnknownDetectors) {
   EXPECT_THROW(CampaignRunner{spec}, analysis::UnknownDetectorError);
 }
 
-TEST(CampaignRunnerTest, ColdStartsFromSavedTemplate) {
-  // Save the template a master runner would train...
+TEST(CampaignRunnerTest, ColdStartsFromGoldenOnlyBundle) {
+  // Save the template a master runner would train as a golden-only
+  // bundle...
+  CampaignSpec spec = quick_spec();
+  spec.detectors = {"bit-entropy"};
+  spec.seeds = 1;
+  metrics::ExperimentRunner master(spec.experiment);
+  model::StoredModels golden_only;
+  golden_only.golden = master.train_shared();
+  const std::filesystem::path path =
+      std::filesystem::temp_directory_path() / "canids_campaign_golden_test";
+  model::save_models_file(path, golden_only);
+
+  // ...then a cold-started campaign must reproduce the in-process one
+  // without training anything.
+  CampaignSpec cold = spec;
+  cold.model_path = path.string();
+  CampaignRunner warm_runner(spec);
+  CampaignRunner cold_runner(cold);
+  const CampaignReport warm = warm_runner.run();
+  const CampaignReport cold_report = cold_runner.run();
+  EXPECT_EQ(cold_runner.stats().training_passes, 0u);
+  EXPECT_EQ(report_bytes(cold_report), report_bytes(warm));
+  std::filesystem::remove(path);
+
+  CampaignSpec missing = spec;
+  missing.model_path = "/nonexistent/models.canids";
+  CampaignRunner missing_runner(missing);
+  EXPECT_THROW((void)missing_runner.run(), std::runtime_error);
+}
+
+TEST(CampaignRunnerTest, RejectsBareTemplateFileAsModel) {
+  // A bare golden-template text file is not a model bundle: the cold start
+  // fails loudly instead of reading the legacy format.
   CampaignSpec spec = quick_spec();
   spec.detectors = {"bit-entropy"};
   spec.seeds = 1;
@@ -435,25 +468,10 @@ TEST(CampaignRunnerTest, ColdStartsFromSavedTemplate) {
     std::ofstream out(path);
     master.train().save(out);
   }
-
-  // ...then a cold-started campaign must reproduce the in-process one.
-  CampaignSpec cold = spec;
-  cold.template_path = path.string();
-  CampaignRunner warm_runner(spec);
-  CampaignRunner cold_runner(cold);
-  const CampaignReport warm = warm_runner.run();
-  const CampaignReport cold_report = cold_runner.run();
-  ASSERT_EQ(warm.trials.size(), cold_report.trials.size());
-  EXPECT_EQ(warm.trials[0].frames.detected_frames,
-            cold_report.trials[0].frames.detected_frames);
-  EXPECT_EQ(warm.trials[0].windows.true_positive,
-            cold_report.trials[0].windows.true_positive);
+  spec.model_path = path.string();
+  CampaignRunner runner(spec);
+  EXPECT_THROW((void)runner.run(), std::runtime_error);
   std::filesystem::remove(path);
-
-  CampaignSpec missing = spec;
-  missing.template_path = "/nonexistent/template.tpl";
-  CampaignRunner missing_runner(missing);
-  EXPECT_THROW((void)missing_runner.run(), std::runtime_error);
 }
 
 // ---- model-bundle cold start -----------------------------------------------
@@ -472,7 +490,7 @@ TEST(CampaignRunnerTest, BundleColdStartMatchesTrainingForEveryBackend) {
       std::filesystem::temp_directory_path() / "canids_campaign_bundle_test";
   {
     std::ofstream out(path, std::ios::binary);
-    warm_runner.models().to_bundle().save(out);
+    model::pack(warm_runner.models()).save(out);
   }
 
   // ...and the bundle cold-start must reproduce it byte-for-byte with
@@ -486,11 +504,16 @@ TEST(CampaignRunnerTest, BundleColdStartMatchesTrainingForEveryBackend) {
   std::filesystem::remove(path);
 }
 
-TEST(CampaignSpecTest, ModelAndTemplatePathsAreMutuallyExclusive) {
-  CampaignSpec spec = quick_spec();
-  spec.model_path = "bundle.canids";
-  spec.template_path = "golden.tpl";
-  EXPECT_THROW(spec.validate(), std::invalid_argument);
+TEST(CampaignSpecTest, RejectsTemplatePathKey) {
+  // Bundles are the only model files; the old golden-template key is gone.
+  try {
+    (void)CampaignSpec::from_json("{\"template_path\": \"golden.tpl\"}");
+    FAIL() << "template_path was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("unknown key 'template_path'"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 // ---- capture-replay campaigns ----------------------------------------------
@@ -712,33 +735,6 @@ TEST(CaptureCampaignTest, RejectsLabelsForUnknownCapturesAndBadDirs) {
   CampaignSpec bad_dir = fixture.spec();
   bad_dir.capture_dir = "/nonexistent/captures";
   EXPECT_THROW(CampaignRunner{bad_dir}, std::invalid_argument);
-}
-
-TEST(InstrumentedTrialTest, BitEntropyMatchesPaperTrialExactly) {
-  metrics::ExperimentConfig config;
-  config.training_windows = 6;
-  config.attack_duration = 4 * util::kSecond;
-  metrics::ExperimentRunner runner(config);
-
-  const metrics::TrialResult expected =
-      runner.run_trial(attacks::ScenarioKind::kMulti2, 100.0, 1);
-  const metrics::InstrumentedTrial actual = runner.run_instrumented_trial(
-      "bit-entropy", attacks::ScenarioKind::kMulti2, 100.0, 1);
-
-  EXPECT_EQ(actual.frames.injected_frames, expected.frames.injected_frames);
-  EXPECT_EQ(actual.frames.detected_frames, expected.frames.detected_frames);
-  EXPECT_EQ(actual.windows.true_positive, expected.windows.true_positive);
-  EXPECT_EQ(actual.windows.false_positive, expected.windows.false_positive);
-  EXPECT_EQ(actual.windows.true_negative, expected.windows.true_negative);
-  EXPECT_EQ(actual.windows.false_negative, expected.windows.false_negative);
-  EXPECT_DOUBLE_EQ(actual.detection_rate, expected.detection_rate);
-  EXPECT_DOUBLE_EQ(actual.inference_hit_sum, expected.inference_hit_sum);
-  EXPECT_EQ(actual.inference_windows, expected.inference_windows);
-  EXPECT_DOUBLE_EQ(actual.injection_rate_arbitration,
-                   expected.injection_rate_arbitration);
-  EXPECT_EQ(actual.injected_transmitted, expected.injected_transmitted);
-  // And the instrumentation is present on top.
-  EXPECT_FALSE(actual.observations.empty());
 }
 
 }  // namespace

@@ -58,7 +58,7 @@ std::string report_bytes(const CampaignReport& report) {
 
 PartialReport run_shard(const CampaignSpec& base, std::uint32_t index,
                         std::uint32_t count,
-                        const metrics::SharedModels& pretrained) {
+                        const model::StoredModels& pretrained) {
   CampaignSpec spec = base;
   spec.shard = ShardSelector{index, count};
   CampaignRunner runner(spec, pretrained);

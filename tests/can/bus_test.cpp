@@ -34,7 +34,9 @@ TEST(BusSimulatorTest, DeliversPeriodicTraffic) {
   EXPECT_EQ(seen.size(), 100u);
   for (std::size_t i = 0; i < seen.size(); ++i) {
     EXPECT_EQ(seen[i].frame.id().raw(), 0x123u);
-    if (i > 0) EXPECT_GT(seen[i].timestamp, seen[i - 1].timestamp);
+    if (i > 0) {
+      EXPECT_GT(seen[i].timestamp, seen[i - 1].timestamp);
+    }
   }
 }
 

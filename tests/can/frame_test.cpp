@@ -17,13 +17,13 @@ TEST(CanIdTest, DefaultIsDominantStandardZero) {
 }
 
 TEST(CanIdTest, StandardRangeEnforced) {
-  EXPECT_NO_THROW(CanId::standard(0x7FF));
-  EXPECT_THROW(CanId::standard(0x800), canids::ContractViolation);
+  EXPECT_NO_THROW((void)CanId::standard(0x7FF));
+  EXPECT_THROW((void)CanId::standard(0x800), canids::ContractViolation);
 }
 
 TEST(CanIdTest, ExtendedRangeEnforced) {
-  EXPECT_NO_THROW(CanId::extended(0x1FFFFFFF));
-  EXPECT_THROW(CanId::extended(0x20000000), canids::ContractViolation);
+  EXPECT_NO_THROW((void)CanId::extended(0x1FFFFFFF));
+  EXPECT_THROW((void)CanId::extended(0x20000000), canids::ContractViolation);
 }
 
 TEST(CanIdTest, BitAccessorMsbFirst) {
@@ -86,7 +86,7 @@ TEST(FrameTest, DataFrameBasics) {
 
 TEST(FrameTest, DataFrameRejectsOversizedPayload) {
   const std::vector<std::uint8_t> payload(9, 0);
-  EXPECT_THROW(Frame::data_frame(CanId::standard(1), payload),
+  EXPECT_THROW((void)Frame::data_frame(CanId::standard(1), payload),
                canids::ContractViolation);
 }
 
@@ -104,7 +104,7 @@ TEST(FrameTest, RemoteFrameHasNoPayload) {
 }
 
 TEST(FrameTest, RemoteFrameRejectsOversizedDlc) {
-  EXPECT_THROW(Frame::remote_frame(CanId::standard(1), 9),
+  EXPECT_THROW((void)Frame::remote_frame(CanId::standard(1), 9),
                canids::ContractViolation);
 }
 

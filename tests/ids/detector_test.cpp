@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "util/rng.h"
 
 namespace canids::ids {
@@ -21,12 +23,13 @@ WindowSnapshot window_with_p(const std::vector<double>& probabilities,
   return snap;
 }
 
-GoldenTemplate template_around(double p, double spread) {
+std::shared_ptr<const GoldenTemplate> template_around(double p,
+                                                      double spread) {
   TemplateBuilder builder;
   builder.add_window(window_with_p(std::vector<double>(11, p - spread)));
   builder.add_window(window_with_p(std::vector<double>(11, p)));
   builder.add_window(window_with_p(std::vector<double>(11, p + spread)));
-  return builder.build();
+  return std::make_shared<const GoldenTemplate>(builder.build());
 }
 
 TEST(DetectorTest, CleanWindowInsideBandNoAlert) {
@@ -51,7 +54,7 @@ TEST(DetectorTest, LargeShiftAlertsOnShiftedBitsOnly) {
 }
 
 TEST(DetectorTest, ThresholdIsAlphaTimesRangeWithFloor) {
-  const GoldenTemplate tpl = template_around(0.3, 0.01);
+  const auto tpl = template_around(0.3, 0.01);
   DetectorConfig config;
   config.alpha = 5.0;
   config.min_threshold = 0.0001;
@@ -75,7 +78,7 @@ TEST(DetectorTest, AlphaControlsSensitivity) {
   // Training range: H(.31)-H(.29) ~= 0.0245, so alpha=3 -> Th ~= 0.073 and
   // alpha=10 -> Th ~= 0.245. A shift to p=0.40 deviates by ~0.090: alerted
   // at alpha=3, tolerated at alpha=10.
-  const GoldenTemplate tpl = template_around(0.3, 0.01);
+  const auto tpl = template_around(0.3, 0.01);
   std::vector<double> shifted(11, 0.3);
   shifted[2] = 0.40;
 
@@ -162,7 +165,7 @@ TEST(DetectorTest, TwoSidedRuleCatchesBothTails) {
   // RISES for p -> 0.5 (suspend removes the IDs that kept the bit biased,
   // dev ~0.28). A template nearer p=0.5 would leave the upper tail no
   // headroom: binary entropy caps at 1.
-  const GoldenTemplate tpl = template_around(0.2, 0.01);
+  const auto tpl = template_around(0.2, 0.01);
   const auto dropped = window_with_p(std::vector<double>(11, 0.05));
   const auto risen = window_with_p(std::vector<double>(11, 0.5));
 

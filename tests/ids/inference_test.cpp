@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <map>
+#include <memory>
 #include <vector>
 
 #include "ids/bit_counters.h"
@@ -38,7 +39,8 @@ class InferenceWorld {
     for (int w = 0; w < 40; ++w) {
       builder.add_window(make_window({}, /*noise_seed=*/seed + 100 + w));
     }
-    golden_ = builder.build(kPaperTrainingWindows);
+    golden_ = std::make_shared<const GoldenTemplate>(
+        builder.build(kPaperTrainingWindows));
   }
 
   /// A window of the normal mix plus `injected` extra (id -> count) frames.
@@ -70,13 +72,15 @@ class InferenceWorld {
   [[nodiscard]] const std::vector<std::uint32_t>& pool() const {
     return pool_;
   }
-  [[nodiscard]] const GoldenTemplate& golden() const { return golden_; }
+  [[nodiscard]] const std::shared_ptr<const GoldenTemplate>& golden() const {
+    return golden_;
+  }
 
  private:
   bool with_pairs_;
   std::vector<std::uint32_t> pool_;
   std::map<std::uint32_t, int> weights_;
-  GoldenTemplate golden_;
+  std::shared_ptr<const GoldenTemplate> golden_;
 };
 
 TEST(InferenceEngineTest, RejectsEmptyPool) {
@@ -169,7 +173,7 @@ TEST(InferenceEngineTest, AlignmentScorePrefersTrueId) {
   for (int i = 0; i < 11; ++i) {
     delta[static_cast<std::size_t>(i)] =
         attacked.probabilities[static_cast<std::size_t>(i)] -
-        world.golden().mean_probability[static_cast<std::size_t>(i)];
+        world.golden()->mean_probability[static_cast<std::size_t>(i)];
   }
   const double true_score = engine.alignment_score(injected, delta);
   int better = 0;
@@ -222,7 +226,7 @@ INSTANTIATE_TEST_SUITE_P(PoolPositions, InferencePositionSweep,
 
 TEST(PairInferenceTest, TemplateAndWindowPairsAreUsed) {
   const InferenceWorld world(99, 60, /*with_pairs=*/true);
-  ASSERT_TRUE(world.golden().has_pairs());
+  ASSERT_TRUE(world.golden()->has_pairs());
   InferenceEngine engine(world.golden(), world.pool());
   const std::uint32_t injected = world.pool()[30];
   const WindowSnapshot attacked = world.make_window({{injected, 150}});

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <memory>
 #include <vector>
 
 #include "util/rng.h"
@@ -17,7 +18,7 @@ using util::kSecond;
 struct PipelineWorld {
   std::vector<std::uint32_t> pool = {0x080, 0x120, 0x1C0, 0x260, 0x300,
                                      0x3A0, 0x440, 0x4E0, 0x580, 0x620};
-  GoldenTemplate golden;
+  std::shared_ptr<const GoldenTemplate> golden;
 
   PipelineWorld() {
     TemplateBuilder builder;
@@ -34,7 +35,8 @@ struct PipelineWorld {
       snap.entropies = counters.entropies();
       builder.add_window(snap);
     }
-    golden = builder.build(kPaperTrainingWindows);
+    golden = std::make_shared<const GoldenTemplate>(
+        builder.build(kPaperTrainingWindows));
   }
 
   /// Feed one second of traffic into the pipeline; injected (id -> count)

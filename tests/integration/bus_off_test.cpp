@@ -105,7 +105,7 @@ TEST(BusOffAttackTest, EntropyIdsDetectsSuppression) {
   metrics::ExperimentConfig config;
   config.training_windows = 14;
   metrics::ExperimentRunner runner(config);
-  const ids::GoldenTemplate& golden = runner.train();
+  const auto golden = runner.train_shared();
   const trace::SyntheticVehicle& vehicle = runner.vehicle();
 
   can::BusSimulator bus(vehicle.config().bus);

@@ -57,19 +57,19 @@ TEST(EndToEndTest, CleanDrivingRaisesNoAlarmStorm) {
   // A "trial" with an attacker whose window never starts = clean run.
   // Use frequency far in the future by setting lead-in beyond the horizon:
   // simpler: run a single-ID trial at a tiny frequency and count FPs only
-  // on pre-attack windows, which run_trial already separates.
-  const TrialResult trial = runner.run_trial(attacks::ScenarioKind::kSingle,
-                                             /*frequency_hz=*/10.0,
-                                             /*trial_seed=*/3);
+  // on pre-attack windows, which the trial already separates.
+  const InstrumentedTrial trial = runner.run_instrumented_trial(
+      "bit-entropy", attacks::ScenarioKind::kSingle, /*frequency_hz=*/10.0,
+      /*trial_seed=*/3);
   // Windows fully before the attack must be overwhelmingly clean.
   EXPECT_LE(trial.windows.false_positive, 1u);
 }
 
 TEST(EndToEndTest, HighRateSingleInjectionDetected) {
   ExperimentRunner runner(fast_config());
-  const TrialResult trial = runner.run_trial(attacks::ScenarioKind::kSingle,
-                                             /*frequency_hz=*/100.0,
-                                             /*trial_seed=*/1);
+  const InstrumentedTrial trial = runner.run_instrumented_trial(
+      "bit-entropy", attacks::ScenarioKind::kSingle, /*frequency_hz=*/100.0,
+      /*trial_seed=*/1);
   EXPECT_GT(trial.frames.injected_frames, 100u);
   EXPECT_GT(trial.detection_rate, 0.8);
   EXPECT_GT(trial.bus_load, 0.4);
@@ -77,9 +77,9 @@ TEST(EndToEndTest, HighRateSingleInjectionDetected) {
 
 TEST(EndToEndTest, FloodingDetectedEvenWithoutInference) {
   ExperimentRunner runner(fast_config());
-  const TrialResult trial = runner.run_trial(attacks::ScenarioKind::kFlood,
-                                             /*frequency_hz=*/400.0,
-                                             /*trial_seed=*/2);
+  const InstrumentedTrial trial = runner.run_instrumented_trial(
+      "bit-entropy", attacks::ScenarioKind::kFlood, /*frequency_hz=*/400.0,
+      /*trial_seed=*/2);
   EXPECT_GT(trial.detection_rate, 0.95);
   // Flooding is marked non-inferable (Table I's "--").
   EXPECT_FALSE(trial.inference_accuracy.has_value());
@@ -88,10 +88,10 @@ TEST(EndToEndTest, FloodingDetectedEvenWithoutInference) {
 TEST(EndToEndTest, InjectionRateHigherForDominantIds) {
   ExperimentRunner runner(fast_config());
   const auto& pool = runner.vehicle().id_pool();
-  const TrialResult dominant =
-      runner.run_single_id_trial(pool.front(), 100.0, 10);
-  const TrialResult recessive =
-      runner.run_single_id_trial(pool.back(), 100.0, 10);
+  const InstrumentedTrial dominant = runner.run_instrumented_single_id_trial(
+      "bit-entropy", pool.front(), 100.0, 10);
+  const InstrumentedTrial recessive = runner.run_instrumented_single_id_trial(
+      "bit-entropy", pool.back(), 100.0, 10);
   // Fig. 3's physical mechanism: arbitration favours numerically smaller
   // identifiers.
   EXPECT_GT(dominant.injection_rate_arbitration,
@@ -100,9 +100,9 @@ TEST(EndToEndTest, InjectionRateHigherForDominantIds) {
 
 TEST(EndToEndTest, SingleInjectionInferenceFindsTheId) {
   ExperimentRunner runner(fast_config());
-  const TrialResult trial = runner.run_trial(attacks::ScenarioKind::kSingle,
-                                             /*frequency_hz=*/100.0,
-                                             /*trial_seed=*/4);
+  const InstrumentedTrial trial = runner.run_instrumented_trial(
+      "bit-entropy", attacks::ScenarioKind::kSingle, /*frequency_hz=*/100.0,
+      /*trial_seed=*/4);
   ASSERT_TRUE(trial.inference_accuracy.has_value());
   EXPECT_GT(*trial.inference_accuracy, 0.8);
 }

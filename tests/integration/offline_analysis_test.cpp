@@ -3,6 +3,7 @@
 // the workflow an analyst applies to a real Vehicle Spy / candump capture.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <sstream>
 
 #include "attacks/scenario.h"
@@ -36,7 +37,8 @@ TEST(OfflineAnalysisTest, CandumpRoundTripDetection) {
       if (snap.end - snap.start == window.duration) builder.add_window(snap);
     }
   }
-  const ids::GoldenTemplate golden = builder.build();
+  const auto golden =
+      std::make_shared<const ids::GoldenTemplate>(builder.build());
 
   // --- Record an attacked drive and serialise it to candump text -----------
   can::BusSimulator bus(vehicle.config().bus);

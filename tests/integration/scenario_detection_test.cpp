@@ -31,7 +31,8 @@ TEST_P(ScenarioDetectionTest, DetectedAtHighFrequency) {
   ExperimentRunner runner(config());
   const ScenarioKind kind = GetParam();
   const double frequency = kind == ScenarioKind::kFlood ? 400.0 : 100.0;
-  const TrialResult trial = runner.run_trial(kind, frequency, 1);
+  const InstrumentedTrial trial =
+      runner.run_instrumented_trial("bit-entropy", kind, frequency, 1);
   EXPECT_GT(trial.frames.injected_frames, 50u)
       << attacks::scenario_name(kind);
   EXPECT_GT(trial.detection_rate, 0.6) << attacks::scenario_name(kind);
@@ -130,7 +131,8 @@ TEST_P(ScenarioDetectionTest, InferableScenariosProduceCandidates) {
   if (!attacks::scenario_inferable(kind)) {
     GTEST_SKIP() << "flooding has no inferable ID set";
   }
-  const TrialResult trial = runner.run_trial(kind, 100.0, 2);
+  const InstrumentedTrial trial =
+      runner.run_instrumented_trial("bit-entropy", kind, 100.0, 2);
   if (trial.detection_rate > 0.0) {
     ASSERT_TRUE(trial.inference_accuracy.has_value());
     EXPECT_GE(*trial.inference_accuracy, 0.0);

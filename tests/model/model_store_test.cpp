@@ -317,7 +317,7 @@ TEST(ModelStoreTest, UnpackRejectsUnknownSections) {
   EXPECT_THROW((void)unpack(bundle), std::runtime_error);
 }
 
-TEST(ModelStoreTest, FileRoundTripAndLegacyTemplateFallback) {
+TEST(ModelStoreTest, FileRoundTripReadsBundlesOnly) {
   const std::filesystem::path dir =
       std::filesystem::temp_directory_path() / "canids_model_store_test";
   std::filesystem::create_directories(dir);
@@ -335,17 +335,26 @@ TEST(ModelStoreTest, FileRoundTripAndLegacyTemplateFallback) {
   ASSERT_NE(from_bundle.interval, nullptr);
   EXPECT_EQ(from_bundle.muter, nullptr);
 
-  // A legacy bare golden-template text file loads as golden-only models.
+  // A bare golden-template text file (the format before bundles) is not a
+  // model: the error says so and names the way forward.
   const std::filesystem::path legacy_path = dir / "legacy.tpl";
   {
     std::ofstream out(legacy_path);
     models.golden->save(out);
   }
-  const StoredModels from_legacy = load_models_file(legacy_path);
-  ASSERT_NE(from_legacy.golden, nullptr);
-  EXPECT_EQ(*from_legacy.golden, *models.golden);
-  EXPECT_EQ(from_legacy.muter, nullptr);
-  EXPECT_EQ(from_legacy.interval, nullptr);
+  try {
+    (void)load_models_file(legacy_path);
+    FAIL() << "a bare golden-template file loaded";
+  } catch (const std::runtime_error& e) {
+    const std::string message = e.what();
+    EXPECT_NE(message.find("not a model bundle"), std::string::npos)
+        << message;
+    EXPECT_NE(message.find("canids train"), std::string::npos) << message;
+  }
+  // Files shorter than the magic are rejected the same way.
+  const std::filesystem::path empty_path = dir / "empty.canids";
+  { std::ofstream out(empty_path); }
+  EXPECT_THROW((void)load_models_file(empty_path), std::runtime_error);
 
   EXPECT_THROW((void)load_models_file(dir / "missing.canids"),
                std::runtime_error);

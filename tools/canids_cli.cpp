@@ -33,13 +33,13 @@
 //
 // `canids train` emits a versioned model bundle carrying every trainable
 // model (golden template + Müter entropy band + interval periods), so a
-// later `detect`/`fleet`/`campaign --model BUNDLE` cold-starts ANY backend
-// with zero training; a bare legacy golden-template file still loads
-// anywhere a bundle is accepted. `campaign --save-models PATH` persists the
-// models a campaign trained; `--model`/`--template` are both accepted on
-// detect/fleet in place of the positional models argument. Captures may be
-// candump logs, Vehicle-Spy-style CSV, or the compact binary trace format
-// (all auto-detected; `canids convert` moves between them losslessly). `detect` and
+// later `detect`/`fleet`/`serve`/`campaign --model BUNDLE` cold-starts ANY
+// backend with zero training; a bundle is the only model file any command
+// reads. `campaign --save-models PATH` persists the models a campaign
+// trained; `--model` is accepted on detect/fleet/serve in place of the
+// positional models argument. Captures may be candump logs,
+// Vehicle-Spy-style CSV, or the compact binary trace format (all
+// auto-detected; `canids convert` moves between them losslessly). `detect` and
 // `fleet` run any backend registered in the DetectorRegistry (default: the
 // paper's bit-entropy detector) through one code path; both exit 0 when
 // the traffic is clean and 2 when intrusions were flagged, so they can
@@ -134,14 +134,13 @@ void print_usage(std::FILE* out) {
                "[--rates HZ,...] [--seeds N] [--seed N] [--alpha A] "
                "[--window S] [--lead-in S] [--duration S] "
                "[--training-windows N] [--workers N] [--model BUNDLE] "
-               "[--template PATH] [--save-models PATH] "
+               "[--save-models PATH] "
                "[--captures DIR] [--labels CSV] [--shard I/N] [--quiet]\n"
                "  canids campaign merge <out-dir> <partial>... [--quiet]\n"
                "\n"
                "`train --save PATH` (or the positional form) writes a model "
-               "bundle carrying every trained model; <models> is a bundle "
-               "or a legacy golden-template file, also accepted as "
-               "`--model PATH`/`--template PATH` in place of the "
+               "bundle carrying every trained model; <models> is such a "
+               "bundle, also accepted as `--model PATH` in place of the "
                "positional argument. `campaign --model BUNDLE` cold-starts "
                "the sweep with zero training passes; `--captures DIR` "
                "replays recorded traces scored against DIR/labels.csv. "
@@ -398,28 +397,59 @@ int cmd_detectors() {
   return 0;
 }
 
-/// Load persisted models — a bundle or a legacy bare golden-template file.
-/// nullopt (after an error message) when the file cannot be read.
-std::optional<model::StoredModels> load_models(const std::string& path) {
+/// The detector a detect/fleet/serve run judges with.
+struct CliDetector {
+  std::string name;
+  analysis::DetectorOptions options;
+  std::unique_ptr<analysis::DetectorBackend> backend;
+};
+
+/// The shared front half of detect, fleet, and serve: load the model bundle
+/// (it must carry a golden template), parse --detector --alpha --window
+/// --calibrate --no-pairs out of `args` on top of `options`, and build the
+/// registry backend with every model the bundle carries (baselines it lacks
+/// self-calibrate on each stream's first windows). nullopt after an error
+/// message when the bundle is unusable; an unknown detector name prints the
+/// registry listing and throws UsageError.
+std::optional<CliDetector> load_detector(
+    const std::string& models_path, std::vector<std::string>& args,
+    analysis::DetectorOptions options = {}) {
+  model::StoredModels models;
   try {
-    return model::load_models_file(path);
+    models = model::load_models_file(models_path);
   } catch (const std::runtime_error& e) {
     std::fprintf(stderr, "%s\n", e.what());
     return std::nullopt;
   }
-}
+  if (!models.golden) {
+    std::fprintf(stderr, "%s: bundle has no golden-template section\n",
+                 models_path.c_str());
+    return std::nullopt;
+  }
 
-/// Build a backend from the registry, translating an unknown name into the
-/// hardened exit path (registry listing + exit 1, via UsageError).
-std::unique_ptr<analysis::DetectorBackend> make_backend_or_usage(
-    const std::string& name, const analysis::DetectorOptions& options) {
+  CliDetector detector;
+  detector.name = arg_string(args, "--detector").value_or("bit-entropy");
+  if (const auto alpha = arg_number(args, "--alpha")) {
+    options.pipeline.detector.alpha = *alpha;
+    options.muter.alpha = *alpha;
+  }
+  if (const auto window = arg_number(args, "--window")) {
+    options.pipeline.window.duration = util::from_seconds(*window);
+  }
+  if (const auto calibrate = arg_calibrate(args)) {
+    options.calibration_windows = *calibrate;
+  }
+  if (arg_flag(args, "--no-pairs")) options.pipeline.window.track_pairs = false;
+  options.adopt_models(models);
   try {
-    return analysis::make_detector(name, options);
+    detector.backend = analysis::make_detector(detector.name, options);
   } catch (const analysis::UnknownDetectorError& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     cmd_detectors();
     throw UsageError{"--detector expects a registered detector name"};
   }
+  detector.options = std::move(options);
+  return detector;
 }
 
 /// Print one alerting window, backend-agnostic: bits and candidate IDs
@@ -487,36 +517,12 @@ std::pair<std::vector<can::TimedFrame>, std::uint64_t> read_capture_lenient(
 
 int cmd_detect(const std::string& models_path, const std::string& capture_path,
                std::vector<std::string> args) {
-  const auto models = load_models(models_path);
-  if (!models) return 66;
-  if (!models->golden) {
-    std::fprintf(stderr, "%s: bundle has no golden-template section\n",
-                 models_path.c_str());
-    return 66;
-  }
-
-  analysis::DetectorOptions options;
-  options.golden = models->golden;
-  // Bundled baseline models run pretrained; absent ones self-calibrate on
-  // the capture's first windows exactly as before.
-  options.muter_model = models->muter;
-  options.interval_model = models->interval;
-  const std::string detector_name =
-      arg_string(args, "--detector").value_or("bit-entropy");
-  if (const auto alpha = arg_number(args, "--alpha")) {
-    options.pipeline.detector.alpha = *alpha;
-    options.muter.alpha = *alpha;
-  }
-  if (const auto window = arg_number(args, "--window")) {
-    options.pipeline.window.duration = util::from_seconds(*window);
-  }
+  analysis::DetectorOptions base;
   if (const auto rank = arg_number(args, "--rank")) {
-    options.pipeline.inference.rank = static_cast<int>(*rank);
+    base.pipeline.inference.rank = static_cast<int>(*rank);
   }
-  if (const auto calibrate = arg_calibrate(args)) {
-    options.calibration_windows = *calibrate;
-  }
-  if (arg_flag(args, "--no-pairs")) options.pipeline.window.track_pairs = false;
+  const auto detector = load_detector(models_path, args, base);
+  if (!detector) return 66;
   reject_leftovers(args);
 
   auto [frames, parse_errors] = read_capture_lenient(capture_path);
@@ -529,14 +535,12 @@ int cmd_detect(const std::string& models_path, const std::string& capture_path,
       pool_set.insert(frame.frame.id().raw());
     }
   }
-  options.id_pool.assign(pool_set.begin(), pool_set.end());
-  if (options.id_pool.empty() && detector_name == "bit-entropy") {
+  if (pool_set.empty() && detector->name == "bit-entropy") {
     std::fprintf(stderr, "capture has no standard-ID frames\n");
     return 65;
   }
-
   const std::unique_ptr<analysis::DetectorBackend> backend =
-      make_backend_or_usage(detector_name, options);
+      detector->backend->clone_for_stream({pool_set.begin(), pool_set.end()});
 
   auto report = [&](const analysis::WindowVerdict& verdict) {
     if (verdict.alert) print_alert(nullptr, verdict);
@@ -558,9 +562,9 @@ int cmd_detect(const std::string& models_path, const std::string& capture_path,
       "%llu/%llu windows alerted (detector=%s, %llu evaluated, window=%.2fs)\n",
       static_cast<unsigned long long>(counters.alerts),
       static_cast<unsigned long long>(counters.windows_closed),
-      detector_name.c_str(),
+      detector->name.c_str(),
       static_cast<unsigned long long>(counters.windows_evaluated),
-      util::to_seconds(options.pipeline.window.duration));
+      util::to_seconds(detector->options.pipeline.window.duration));
   if (parse_errors > 0 || counters.dropped_frames > 0) {
     std::printf("ingest: %llu malformed lines skipped, %llu frames dropped\n",
                 static_cast<unsigned long long>(parse_errors),
@@ -593,18 +597,10 @@ std::vector<std::filesystem::path> collect_captures(
 int cmd_fleet(const std::string& models_path,
               const std::vector<std::string>& inputs,
               std::vector<std::string> args) {
-  const auto models = load_models(models_path);
-  if (!models) return 66;
-  if (!models->golden) {
-    std::fprintf(stderr, "%s: bundle has no golden-template section\n",
-                 models_path.c_str());
-    return 66;
-  }
+  auto detector = load_detector(models_path, args);
+  if (!detector) return 66;
 
   engine::FleetConfig config;
-  analysis::DetectorOptions options;
-  const std::string detector_name =
-      arg_string(args, "--detector").value_or("bit-entropy");
   if (const auto shards = arg_number(args, "--shards")) {
     config.shards = static_cast<int>(*shards);
   }
@@ -624,17 +620,6 @@ int cmd_fleet(const std::string& models_path,
   if (const auto drain = arg_integer(args, "--drain-batch", 1, 1 << 20)) {
     config.drain_batch = static_cast<std::size_t>(*drain);
   }
-  if (const auto alpha = arg_number(args, "--alpha")) {
-    options.pipeline.detector.alpha = *alpha;
-    options.muter.alpha = *alpha;
-  }
-  if (const auto window = arg_number(args, "--window")) {
-    options.pipeline.window.duration = util::from_seconds(*window);
-  }
-  if (const auto calibrate = arg_calibrate(args)) {
-    options.calibration_windows = *calibrate;
-  }
-  if (arg_flag(args, "--no-pairs")) options.pipeline.window.track_pairs = false;
   const bool quiet = arg_flag(args, "--quiet");
   const auto alerts_out = arg_string(args, "--alerts-out");
   const auto metrics_out = arg_string(args, "--metrics-out");
@@ -643,7 +628,6 @@ int cmd_fleet(const std::string& models_path,
     config.telemetry_sample = static_cast<std::size_t>(*sample);
   }
   reject_leftovers(args);
-  config.pipeline = options.pipeline;
   // A registry exists exactly when something will read it: sampling fills
   // its histograms, --metrics-out dumps its exposition.
   if (metrics_out || config.telemetry_sample > 0) {
@@ -670,19 +654,7 @@ int cmd_fleet(const std::string& models_path,
     return 66;
   }
 
-  // Cold start straight from the persisted models: the engine overlays the
-  // bundle's golden/muter/interval onto the options and builds the
-  // registry backend — no stream trains a model the bundle already has.
-  std::unique_ptr<engine::FleetEngine> fleet_holder;
-  try {
-    fleet_holder = std::make_unique<engine::FleetEngine>(
-        *models, detector_name, options, config);
-  } catch (const analysis::UnknownDetectorError& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    cmd_detectors();
-    throw UsageError{"--detector expects a registered detector name"};
-  }
-  engine::FleetEngine& fleet = *fleet_holder;
+  engine::FleetEngine fleet(std::move(detector->backend), config);
   // Streaming handler instead of retained alerts: long runs stay at
   // constant memory. Shard workers call it concurrently, so the JSONL
   // sink is mutex-guarded.
@@ -745,7 +717,7 @@ int cmd_fleet(const std::string& models_path,
   std::printf(
       "%zu streams on %d shards (detector=%s, generation=%llu): %llu "
       "frames, %llu windows, %llu alerts in %.2fs (%.0f frames/s)\n",
-      run.streams.size(), fleet.shards(), detector_name.c_str(),
+      run.streams.size(), fleet.shards(), detector->name.c_str(),
       static_cast<unsigned long long>(fleet.model_generation()),
       static_cast<unsigned long long>(totals.frames),
       static_cast<unsigned long long>(totals.windows_closed),
@@ -803,18 +775,10 @@ extern "C" void serve_signal_handler(int signum) {
 }
 
 int cmd_serve(const std::string& models_path, std::vector<std::string> args) {
-  const auto models = load_models(models_path);
-  if (!models) return 66;
-  if (!models->golden) {
-    std::fprintf(stderr, "%s: bundle has no golden-template section\n",
-                 models_path.c_str());
-    return 66;
-  }
+  auto detector = load_detector(models_path, args);
+  if (!detector) return 66;
 
   engine::FleetConfig config;
-  analysis::DetectorOptions options;
-  const std::string detector_name =
-      arg_string(args, "--detector").value_or("bit-entropy");
   if (const auto shards = arg_number(args, "--shards")) {
     config.shards = static_cast<int>(*shards);
   }
@@ -830,17 +794,6 @@ int cmd_serve(const std::string& models_path, std::vector<std::string> args) {
   if (const auto drain = arg_integer(args, "--drain-batch", 1, 1 << 20)) {
     config.drain_batch = static_cast<std::size_t>(*drain);
   }
-  if (const auto alpha = arg_number(args, "--alpha")) {
-    options.pipeline.detector.alpha = *alpha;
-    options.muter.alpha = *alpha;
-  }
-  if (const auto window = arg_number(args, "--window")) {
-    options.pipeline.window.duration = util::from_seconds(*window);
-  }
-  if (const auto calibrate = arg_calibrate(args)) {
-    options.calibration_windows = *calibrate;
-  }
-  if (arg_flag(args, "--no-pairs")) options.pipeline.window.track_pairs = false;
   const std::string on_full =
       arg_string(args, "--on-full").value_or("block");
   if (on_full == "block") {
@@ -870,7 +823,6 @@ int cmd_serve(const std::string& models_path, std::vector<std::string> args) {
   }
   const bool quiet = arg_flag(args, "--quiet");
   reject_leftovers(args);
-  config.pipeline = options.pipeline;
   // The daemon always carries a registry — METRICS must answer whether or
   // not latency sampling is on (counters/gauges fold at scrape time).
   config.metrics = std::make_shared<telemetry::MetricsRegistry>();
@@ -885,17 +837,7 @@ int cmd_serve(const std::string& models_path, std::vector<std::string> args) {
         "serve needs at least one data listener: --uds PATH and/or --port N"};
   }
 
-  std::unique_ptr<engine::FleetEngine> fleet_holder;
-  try {
-    fleet_holder = std::make_unique<engine::FleetEngine>(
-        *models, detector_name, options, config);
-  } catch (const analysis::UnknownDetectorError& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    cmd_detectors();
-    throw UsageError{"--detector expects a registered detector name"};
-  }
-  engine::FleetEngine& fleet = *fleet_holder;
-
+  engine::FleetEngine fleet(std::move(detector->backend), config);
   serve::ServeServer server(fleet, serve_config);
   if (!quiet) {
     if (!serve_config.uds_path.empty()) {
@@ -915,7 +857,7 @@ int cmd_serve(const std::string& models_path, std::vector<std::string> args) {
     std::printf(
         "detector=%s shards=%d on-full=%s — SIGHUP reloads models, SIGUSR1 "
         "dumps status, SIGINT/SIGTERM shut down\n",
-        detector_name.c_str(), fleet.shards(), on_full.c_str());
+        detector->name.c_str(), fleet.shards(), on_full.c_str());
     std::fflush(stdout);
   }
 
@@ -1340,9 +1282,6 @@ int cmd_campaign(std::vector<std::string> args) {
       throw UsageError{e.what()};
     }
   }
-  if (const auto tpl = arg_string(args, "--template")) {
-    spec.template_path = *tpl;
-  }
   if (const auto bundle = arg_string(args, "--model")) {
     spec.model_path = *bundle;
   }
@@ -1363,8 +1302,7 @@ int cmd_campaign(std::vector<std::string> args) {
 
   campaign::CampaignRunner runner(std::move(spec));
   if (runner.spec().capture_mode()) {
-    if (runner.spec().model_path.empty() &&
-        runner.spec().template_path.empty()) {
+    if (runner.spec().model_path.empty()) {
       // Scoring recorded traffic with models trained on the built-in
       // synthetic vehicle is only meaningful when the captures ARE
       // synthetic-vehicle recordings — say so instead of emitting
@@ -1418,7 +1356,7 @@ int cmd_campaign(std::vector<std::string> args) {
               static_cast<unsigned long long>(stats.training_passes));
 
   if (save_models) {
-    model::save_models_file(*save_models, runner.models().stored());
+    model::save_models_file(*save_models, runner.models());
     std::printf("models -> %s\n", save_models->c_str());
   }
   if (partial) {
@@ -1478,36 +1416,27 @@ int main(int argc, char** argv) {
       return usage();
     }
     if (command == "detect") {
-      // `--model PATH` (or the legacy spelling `--template PATH`) replaces
-      // the positional models argument.
-      auto tpl = arg_string(args, "--model");
-      if (!tpl) tpl = arg_string(args, "--template");
-      if (tpl && !args.empty()) {
+      // `--model PATH` replaces the positional models argument.
+      const auto bundle = arg_string(args, "--model");
+      if (bundle && !args.empty()) {
         if (args[0].rfind("--", 0) == 0) {
-          throw UsageError{"with --model/--template, the capture path must "
-                           "come before other flags"};
+          throw UsageError{"with --model, the capture path must come before "
+                           "other flags"};
         }
-        return cmd_detect(*tpl, args[0], {args.begin() + 1, args.end()});
+        return cmd_detect(*bundle, args[0], {args.begin() + 1, args.end()});
       }
-      if (!tpl && args.size() >= 2) {
+      if (!bundle && args.size() >= 2) {
         return cmd_detect(args[0], args[1], {args.begin() + 2, args.end()});
       }
       return usage();
     }
     if (command == "fleet" && !args.empty()) {
-      auto template_flag = arg_string(args, "--model");
-      if (!template_flag) template_flag = arg_string(args, "--template");
-      std::string tpl;
-      std::size_t first_input = 0;
-      if (template_flag) {
-        tpl = *template_flag;
-      } else {
-        tpl = args[0];
-        first_input = 1;
-      }
+      auto models_path = arg_string(args, "--model");
+      const bool flagged = models_path.has_value();
+      if (!flagged) models_path = args[0];
       std::vector<std::string> inputs;
       std::vector<std::string> flags;
-      for (std::size_t i = first_input; i < args.size(); ++i) {
+      for (std::size_t i = flagged ? 0 : 1; i < args.size(); ++i) {
         // Flags (and their values) start at the first "--" argument.
         if (args[i].rfind("--", 0) == 0) {
           flags.assign(args.begin() + static_cast<std::ptrdiff_t>(i),
@@ -1517,19 +1446,17 @@ int main(int argc, char** argv) {
         inputs.push_back(args[i]);
       }
       if (inputs.empty()) {
-        if (template_flag) {
-          throw UsageError{"with --model/--template, capture paths must "
-                           "come before other flags"};
+        if (flagged) {
+          throw UsageError{"with --model, capture paths must come before "
+                           "other flags"};
         }
         return usage();
       }
-      return cmd_fleet(tpl, inputs, std::move(flags));
+      return cmd_fleet(*models_path, inputs, std::move(flags));
     }
     if (command == "serve") {
-      auto model_flag = arg_string(args, "--model");
-      if (!model_flag) model_flag = arg_string(args, "--template");
-      if (model_flag) {
-        return cmd_serve(*model_flag, std::move(args));
+      if (const auto bundle = arg_string(args, "--model")) {
+        return cmd_serve(*bundle, std::move(args));
       }
       if (!args.empty() && args[0].rfind("--", 0) != 0) {
         return cmd_serve(args[0], {args.begin() + 1, args.end()});
