@@ -30,6 +30,13 @@ class BusSimulator;
 
 namespace canids::attacks {
 
+/// The injection rates campaign specs and the CLI accept. No simulated
+/// bus carries more than kMaxRateHz frames per second, and across the
+/// range every scenario's injection period (1 s / (rate x IDs)) stays a
+/// positive TimeNs.
+inline constexpr double kMinRateHz = 1e-3;
+inline constexpr double kMaxRateHz = 1e5;
+
 /// Common knobs shared by all scenarios.
 struct AttackConfig {
   /// Frames per second the attacker generates (paper: 100/50/20/10 Hz).

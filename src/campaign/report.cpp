@@ -8,6 +8,7 @@
 #include <stdexcept>
 
 #include "util/csv.h"
+#include "util/json.h"
 
 namespace canids::campaign {
 
@@ -62,11 +63,11 @@ double f1_of(double precision, double recall) {
 
 std::string json_trial(const metrics::InstrumentedTrial& trial) {
   std::ostringstream out;
-  out << "{\"detector\": \"" << json_escape(trial.backend)
-      << "\", \"scenario\": \""
+  out << "{\"detector\": " << util::json_quoted(trial.backend)
+      << ", \"scenario\": \""
       << scenario_field(trial.capture, trial.kind) << "\"";
   if (!trial.capture.empty()) {
-    out << ", \"capture\": \"" << json_escape(trial.capture) << "\"";
+    out << ", \"capture\": " << util::json_quoted(trial.capture);
   }
   if (trial.single_id) out << ", \"sweep_id\": " << *trial.single_id;
   out << ", \"rate_hz\": " << fmt(trial.frequency_hz)
@@ -92,11 +93,11 @@ std::string json_trial(const metrics::InstrumentedTrial& trial) {
 
 std::string json_cell(const CampaignCell& cell) {
   std::ostringstream out;
-  out << "{\"detector\": \"" << json_escape(cell.detector)
-      << "\", \"scenario\": \""
+  out << "{\"detector\": " << util::json_quoted(cell.detector)
+      << ", \"scenario\": \""
       << scenario_field(cell.capture, cell.kind) << "\"";
   if (!cell.capture.empty()) {
-    out << ", \"capture\": \"" << json_escape(cell.capture) << "\"";
+    out << ", \"capture\": " << util::json_quoted(cell.capture);
   }
   if (cell.sweep_id) out << ", \"sweep_id\": " << *cell.sweep_id;
   out << ", \"rate_hz\": " << fmt(cell.frequency_hz)

@@ -1,218 +1,16 @@
 #include "campaign/spec.h"
 
-#include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <sstream>
 #include <stdexcept>
-#include <utility>
 
+#include "util/json.h"
 #include "util/time.h"
 
 namespace canids::campaign {
 
 namespace {
-
-// ---- minimal JSON ----------------------------------------------------------
-// Campaign specs are flat JSON objects of scalars and scalar arrays; this
-// parser covers the full JSON value grammar anyway so spec files written by
-// other tools round-trip. No dependency, ~100 lines, strict (trailing
-// garbage and malformed literals throw).
-
-struct Json {
-  enum class Type { kNull, kBool, kNumber, kString, kArray, kObject };
-  Type type = Type::kNull;
-  bool boolean = false;
-  double number = 0.0;
-  std::string string;
-  std::vector<Json> array;
-  std::vector<std::pair<std::string, Json>> object;
-};
-
-class JsonParser {
- public:
-  explicit JsonParser(std::string_view text) : text_(text) {}
-
-  [[nodiscard]] Json parse() {
-    Json value = parse_value();
-    skip_whitespace();
-    if (pos_ != text_.size()) fail("trailing characters after JSON value");
-    return value;
-  }
-
- private:
-  [[noreturn]] void fail(const std::string& what) const {
-    throw std::invalid_argument("campaign spec JSON: " + what +
-                                " (at offset " + std::to_string(pos_) + ")");
-  }
-
-  void skip_whitespace() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\t' || text_[pos_] == '\n' ||
-            text_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
-
-  [[nodiscard]] char peek() {
-    skip_whitespace();
-    if (pos_ >= text_.size()) fail("unexpected end of input");
-    return text_[pos_];
-  }
-
-  void expect(char c) {
-    if (peek() != c) fail(std::string("expected '") + c + "'");
-    ++pos_;
-  }
-
-  bool consume_literal(std::string_view literal) {
-    if (text_.substr(pos_, literal.size()) != literal) return false;
-    pos_ += literal.size();
-    return true;
-  }
-
-  Json parse_value() {
-    const char c = peek();
-    switch (c) {
-      case '{': return parse_object();
-      case '[': return parse_array();
-      case '"': {
-        Json v;
-        v.type = Json::Type::kString;
-        v.string = parse_string();
-        return v;
-      }
-      case 't':
-      case 'f': {
-        Json v;
-        v.type = Json::Type::kBool;
-        v.boolean = c == 't';
-        if (!consume_literal(c == 't' ? "true" : "false")) {
-          fail("bad literal");
-        }
-        return v;
-      }
-      case 'n':
-        if (!consume_literal("null")) fail("bad literal");
-        return Json{};
-      default: return parse_number();
-    }
-  }
-
-  Json parse_object() {
-    expect('{');
-    Json v;
-    v.type = Json::Type::kObject;
-    if (peek() == '}') {
-      ++pos_;
-      return v;
-    }
-    for (;;) {
-      if (peek() != '"') fail("object key must be a string");
-      std::string key = parse_string();
-      expect(':');
-      v.object.emplace_back(std::move(key), parse_value());
-      const char c = peek();
-      ++pos_;
-      if (c == '}') return v;
-      if (c != ',') fail("expected ',' or '}' in object");
-    }
-  }
-
-  Json parse_array() {
-    expect('[');
-    Json v;
-    v.type = Json::Type::kArray;
-    if (peek() == ']') {
-      ++pos_;
-      return v;
-    }
-    for (;;) {
-      v.array.push_back(parse_value());
-      const char c = peek();
-      ++pos_;
-      if (c == ']') return v;
-      if (c != ',') fail("expected ',' or ']' in array");
-    }
-  }
-
-  std::string parse_string() {
-    expect('"');
-    std::string out;
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_++];
-      if (c == '"') return out;
-      if (c != '\\') {
-        out.push_back(c);
-        continue;
-      }
-      if (pos_ >= text_.size()) break;
-      const char escape = text_[pos_++];
-      switch (escape) {
-        case '"': out.push_back('"'); break;
-        case '\\': out.push_back('\\'); break;
-        case '/': out.push_back('/'); break;
-        case 'b': out.push_back('\b'); break;
-        case 'f': out.push_back('\f'); break;
-        case 'n': out.push_back('\n'); break;
-        case 'r': out.push_back('\r'); break;
-        case 't': out.push_back('\t'); break;
-        case 'u': {
-          if (pos_ + 4 > text_.size()) fail("truncated \\u escape");
-          unsigned code = 0;
-          for (int i = 0; i < 4; ++i) {
-            const char h = text_[pos_++];
-            code <<= 4;
-            if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
-            else if (h >= 'a' && h <= 'f') code |= static_cast<unsigned>(h - 'a' + 10);
-            else if (h >= 'A' && h <= 'F') code |= static_cast<unsigned>(h - 'A' + 10);
-            else fail("bad \\u escape digit");
-          }
-          if (code >= 0xD800 && code <= 0xDFFF) fail("surrogate \\u escape");
-          // UTF-8 encode (specs are ASCII in practice; stay correct anyway).
-          if (code < 0x80) {
-            out.push_back(static_cast<char>(code));
-          } else if (code < 0x800) {
-            out.push_back(static_cast<char>(0xC0 | (code >> 6)));
-            out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
-          } else {
-            out.push_back(static_cast<char>(0xE0 | (code >> 12)));
-            out.push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
-            out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
-          }
-          break;
-        }
-        default: fail("unknown escape sequence");
-      }
-    }
-    fail("unterminated string");
-  }
-
-  Json parse_number() {
-    const std::size_t start = pos_;
-    if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            text_[pos_] == '+' || text_[pos_] == '-')) {
-      ++pos_;
-    }
-    const std::string token(text_.substr(start, pos_ - start));
-    try {
-      std::size_t used = 0;
-      Json v;
-      v.type = Json::Type::kNumber;
-      v.number = std::stod(token, &used);
-      if (used != token.size() || token.empty()) throw std::invalid_argument("");
-      return v;
-    } catch (const std::exception&) {
-      fail("malformed number '" + token + "'");
-    }
-  }
-
-  std::string_view text_;
-  std::size_t pos_ = 0;
-};
 
 std::string json_number(double value) {
   if (value == std::floor(value) && std::abs(value) < 9.0e15) {
@@ -223,76 +21,17 @@ std::string json_number(double value) {
   return buffer;
 }
 
-[[noreturn]] void bad_key(const std::string& key, const char* expected) {
-  throw std::invalid_argument("campaign spec: key '" + key + "' expects " +
-                              expected);
-}
-
-double as_number(const std::string& key, const Json& v) {
-  if (v.type != Json::Type::kNumber) bad_key(key, "a number");
-  return v.number;
-}
-
-int as_int(const std::string& key, const Json& v) {
-  const double n = as_number(key, v);
-  if (n != std::floor(n)) bad_key(key, "an integer");
-  return static_cast<int>(n);
-}
-
-bool as_bool(const std::string& key, const Json& v) {
-  if (v.type != Json::Type::kBool) bad_key(key, "a boolean");
-  return v.boolean;
-}
-
-std::string as_string(const std::string& key, const Json& v) {
-  if (v.type != Json::Type::kString) bad_key(key, "a string");
-  return v.string;
-}
-
-std::vector<double> as_number_array(const std::string& key, const Json& v) {
-  if (v.type != Json::Type::kArray) bad_key(key, "an array of numbers");
-  std::vector<double> out;
-  out.reserve(v.array.size());
-  for (const Json& item : v.array) out.push_back(as_number(key, item));
-  return out;
-}
-
-std::vector<std::string> as_string_array(const std::string& key,
-                                         const Json& v) {
-  if (v.type != Json::Type::kArray) bad_key(key, "an array of strings");
-  std::vector<std::string> out;
-  out.reserve(v.array.size());
-  for (const Json& item : v.array) out.push_back(as_string(key, item));
-  return out;
+/// A duration key, bounded so the nanosecond conversion cannot overflow
+/// (the sign is validate()'s business).
+util::TimeNs duration_of(const std::string& key, const util::JsonValue& value) {
+  const double seconds = value.as<double>(key);
+  if (!(std::abs(seconds) <= util::kMaxDurationSeconds)) {
+    util::throw_json_read_error(key, "at most 1e6 seconds");
+  }
+  return util::from_seconds(seconds);
 }
 
 }  // namespace
-
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          // Remaining control characters (\b, \f, , ...) would make
-          // the emitted report.json unparseable if passed through raw.
-          char buffer[8];
-          std::snprintf(buffer, sizeof buffer, "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buffer;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  return out;
-}
 
 ShardSelector ShardSelector::parse(std::string_view text) {
   const auto fail = [&] {
@@ -327,6 +66,15 @@ std::optional<attacks::ScenarioKind> scenario_from_token(
     if (scenario_token(kind) == token) return kind;
   }
   return std::nullopt;
+}
+
+std::string scenario_token_list() {
+  std::string list;
+  for (const attacks::ScenarioKind kind : attacks::kAllScenarios) {
+    if (!list.empty()) list += '|';
+    list += scenario_token(kind);
+  }
+  return list;
 }
 
 std::vector<double> CampaignSpec::default_threshold_scales() {
@@ -384,8 +132,9 @@ void CampaignSpec::validate() const {
       throw std::invalid_argument("campaign spec: no injection rates");
     }
     for (const double rate : rates_hz) {
-      if (!(rate > 0.0)) {
-        throw std::invalid_argument("campaign spec: rates must be positive");
+      if (!(rate >= attacks::kMinRateHz && rate <= attacks::kMaxRateHz)) {
+        throw std::invalid_argument(
+            "campaign spec: rates must lie in [0.001, 100000] Hz");
       }
     }
     if (seeds < 1) {
@@ -425,6 +174,15 @@ void CampaignSpec::validate() const {
   if (experiment.pipeline.window.duration <= 0) {
     throw std::invalid_argument(
         "campaign spec: window duration must be > 0");
+  }
+  // Both detectors judge against alpha; an infinite one never alerts and
+  // would leave report.json with a literal `inf`.
+  for (const double alpha :
+       {experiment.pipeline.detector.alpha, experiment.muter.alpha}) {
+    if (!(std::isfinite(alpha) && alpha > 0.0)) {
+      throw std::invalid_argument(
+          "campaign spec: alpha must be finite and > 0");
+    }
   }
 }
 
@@ -502,82 +260,69 @@ std::vector<TrialPlan> CampaignSpec::sharded_plan() const {
 }
 
 CampaignSpec CampaignSpec::from_json(std::string_view text) {
-  const Json root = JsonParser(text).parse();
-  if (root.type != Json::Type::kObject) {
-    throw std::invalid_argument("campaign spec: top level must be an object");
-  }
-
   CampaignSpec spec;
-  for (const auto& [key, value] : root.object) {
-    if (key == "name") {
-      spec.name = as_string(key, value);
-    } else if (key == "detectors") {
-      spec.detectors = as_string_array(key, value);
-    } else if (key == "scenarios") {
-      spec.scenarios.clear();
-      for (const std::string& token : as_string_array(key, value)) {
-        const auto kind = scenario_from_token(token);
-        if (!kind) {
-          throw std::invalid_argument(
-              "campaign spec: unknown scenario '" + token +
-              "' (flood|single|multi2|multi3|multi4|weak)");
-        }
-        spec.scenarios.push_back(*kind);
-      }
-    } else if (key == "sweep_ids") {
-      spec.sweep_ids.clear();
-      for (const double id : as_number_array(key, value)) {
-        if (id < 0 || id != std::floor(id) || id > 4294967295.0) {
-          bad_key(key, "identifier values (integers < 2^32)");
-        }
-        spec.sweep_ids.push_back(static_cast<std::uint32_t>(id));
-      }
-    } else if (key == "rates_hz") {
-      spec.rates_hz = as_number_array(key, value);
-    } else if (key == "seeds") {
-      spec.seeds = as_int(key, value);
-    } else if (key == "seed") {
-      // Doubles hold integers exactly only up to 2^53; a silently rounded
-      // seed would be a different campaign than the file says.
-      const double seed = as_number(key, value);
-      if (seed < 0 || seed != std::floor(seed) || seed > 9007199254740992.0) {
-        bad_key(key, "a non-negative integer <= 2^53");
-      }
-      spec.experiment.seed = static_cast<std::uint64_t>(seed);
-    } else if (key == "training_windows") {
-      const int windows = as_int(key, value);
-      if (windows < 2) bad_key(key, "an integer >= 2");
-      spec.experiment.training_windows = static_cast<std::size_t>(windows);
-    } else if (key == "lead_in_seconds") {
-      spec.experiment.clean_lead_in = util::from_seconds(as_number(key, value));
-    } else if (key == "attack_seconds") {
-      spec.experiment.attack_duration =
-          util::from_seconds(as_number(key, value));
-    } else if (key == "window_seconds") {
-      spec.experiment.pipeline.window.duration =
-          util::from_seconds(as_number(key, value));
-    } else if (key == "alpha") {
-      spec.experiment.pipeline.detector.alpha = as_number(key, value);
-      spec.experiment.muter.alpha = as_number(key, value);
-    } else if (key == "track_pairs") {
-      spec.experiment.pipeline.window.track_pairs = as_bool(key, value);
-    } else if (key == "period_scale") {
-      spec.experiment.vehicle.period_scale = as_number(key, value);
-    } else if (key == "model_path") {
-      spec.model_path = as_string(key, value);
-    } else if (key == "capture_dir") {
-      spec.capture_dir = as_string(key, value);
-    } else if (key == "captures") {
-      spec.captures = as_string_array(key, value);
-    } else if (key == "labels_path") {
-      spec.labels_path = as_string(key, value);
-    } else if (key == "threshold_scales") {
-      spec.threshold_scales = as_number_array(key, value);
-    } else if (key == "workers") {
-      spec.workers = as_int(key, value);
-    } else {
-      throw std::invalid_argument("campaign spec: unknown key '" + key + "'");
+  try {
+    const util::JsonValue root = util::parse_json(text);
+    if (root.type != util::JsonValue::Type::kObject) {
+      throw std::invalid_argument("top level must be an object");
     }
+    for (const auto& [key, value] : root.members) {
+      if (key == "name") {
+        spec.name = value.as<std::string>(key);
+      } else if (key == "detectors") {
+        spec.detectors = value.as<std::vector<std::string>>(key);
+      } else if (key == "scenarios") {
+        spec.scenarios.clear();
+        for (const std::string& token :
+             value.as<std::vector<std::string>>(key)) {
+          const auto kind = scenario_from_token(token);
+          if (!kind) {
+            throw std::invalid_argument("unknown scenario '" + token + "' (" +
+                                        scenario_token_list() + ")");
+          }
+          spec.scenarios.push_back(*kind);
+        }
+      } else if (key == "sweep_ids") {
+        spec.sweep_ids = value.as<std::vector<std::uint32_t>>(key);
+      } else if (key == "rates_hz") {
+        spec.rates_hz = value.as<std::vector<double>>(key);
+      } else if (key == "seeds") {
+        spec.seeds = value.as<int>(key);
+      } else if (key == "seed") {
+        spec.experiment.seed = value.as<std::uint64_t>(key);
+      } else if (key == "training_windows") {
+        spec.experiment.training_windows = value.as<std::size_t>(key);
+      } else if (key == "lead_in_seconds") {
+        spec.experiment.clean_lead_in = duration_of(key, value);
+      } else if (key == "attack_seconds") {
+        spec.experiment.attack_duration = duration_of(key, value);
+      } else if (key == "window_seconds") {
+        spec.experiment.pipeline.window.duration = duration_of(key, value);
+      } else if (key == "alpha") {
+        spec.experiment.pipeline.detector.alpha = value.as<double>(key);
+        spec.experiment.muter.alpha = spec.experiment.pipeline.detector.alpha;
+      } else if (key == "track_pairs") {
+        spec.experiment.pipeline.window.track_pairs = value.as<bool>(key);
+      } else if (key == "period_scale") {
+        spec.experiment.vehicle.period_scale = value.as<double>(key);
+      } else if (key == "model_path") {
+        spec.model_path = value.as<std::string>(key);
+      } else if (key == "capture_dir") {
+        spec.capture_dir = value.as<std::string>(key);
+      } else if (key == "captures") {
+        spec.captures = value.as<std::vector<std::string>>(key);
+      } else if (key == "labels_path") {
+        spec.labels_path = value.as<std::string>(key);
+      } else if (key == "threshold_scales") {
+        spec.threshold_scales = value.as<std::vector<double>>(key);
+      } else if (key == "workers") {
+        spec.workers = value.as<int>(key);
+      } else {
+        throw std::invalid_argument("unknown key '" + key + "'");
+      }
+    }
+  } catch (const std::invalid_argument& e) {
+    throw std::invalid_argument(std::string("campaign spec: ") + e.what());
   }
   spec.validate();
   return spec;
@@ -586,10 +331,10 @@ CampaignSpec CampaignSpec::from_json(std::string_view text) {
 std::string CampaignSpec::to_json() const {
   std::ostringstream out;
   out << "{\n";
-  out << "  \"name\": \"" << json_escape(name) << "\",\n";
+  out << "  \"name\": " << util::json_quoted(name) << ",\n";
   out << "  \"detectors\": [";
   for (std::size_t i = 0; i < detectors.size(); ++i) {
-    out << (i ? ", " : "") << '"' << json_escape(detectors[i]) << '"';
+    out << (i ? ", " : "") << util::json_quoted(detectors[i]);
   }
   out << "],\n";
   if (sweep_ids.empty()) {
@@ -632,14 +377,15 @@ std::string CampaignSpec::to_json() const {
   // train-in-process run of the same spec. (from_json still accepts the
   // key, so spec files can request a cold start.)
   if (capture_mode()) {
-    out << "  \"capture_dir\": \"" << json_escape(capture_dir) << "\",\n";
+    out << "  \"capture_dir\": " << util::json_quoted(capture_dir) << ",\n";
     out << "  \"captures\": [";
     for (std::size_t i = 0; i < captures.size(); ++i) {
-      out << (i ? ", " : "") << '"' << json_escape(captures[i]) << '"';
+      out << (i ? ", " : "") << util::json_quoted(captures[i]);
     }
     out << "],\n";
     if (!labels_path.empty()) {
-      out << "  \"labels_path\": \"" << json_escape(labels_path) << "\",\n";
+      out << "  \"labels_path\": " << util::json_quoted(labels_path)
+          << ",\n";
     }
   }
   // `workers` is deliberately NOT serialized: it is an execution knob (like

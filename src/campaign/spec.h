@@ -18,10 +18,6 @@
 
 namespace canids::campaign {
 
-/// JSON string escaping (quotes, backslashes, all control characters) used
-/// by the spec and report emitters.
-[[nodiscard]] std::string json_escape(std::string_view s);
-
 /// Short machine-readable scenario token used in specs and report columns
 /// ("flood", "single", ..., "masquerade") — the same vocabulary `canids
 /// simulate --attack` accepts. The token itself lives with the scenario
@@ -30,6 +26,9 @@ namespace canids::campaign {
 using attacks::scenario_token;
 [[nodiscard]] std::optional<attacks::ScenarioKind> scenario_from_token(
     std::string_view token);
+/// Every scenario token in table order, '|'-separated: the list the
+/// unknown-scenario errors print.
+[[nodiscard]] std::string scenario_token_list();
 
 /// One slice of a campaign's canonical trial plan, written "I/N" on the
 /// command line (1-based I of N shards). Internally 0-based: shard `index`

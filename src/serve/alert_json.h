@@ -10,15 +10,15 @@
 //    "bits": [I...], "candidates": [U...], "voters": ["s"...]}
 //
 // Doubles are rendered with %.17g, so parse -> render round-trips to the
-// same bytes; the parser accepts the schema in any key order (and ignores
-// unknown keys) for forward compatibility.
+// same bytes. Lines are read with the shared strict reader (util/json.h);
+// the schema may come in any key order, and unknown keys are ignored for
+// forward compatibility.
 #pragma once
 
 #include <string>
 #include <string_view>
 
 #include "engine/alert_sink.h"
-#include "util/json.h"
 
 namespace canids::serve {
 
@@ -26,12 +26,8 @@ namespace canids::serve {
 [[nodiscard]] std::string to_json_line(const engine::FleetAlert& alert);
 
 /// Parse a line produced by to_json_line (or any key order / unknown-key
-/// superset of the schema). Throws std::runtime_error on malformed input.
+/// superset of the schema). Throws std::runtime_error ("alert JSONL: ...")
+/// on malformed JSON and on a value that does not fit its field.
 [[nodiscard]] engine::FleetAlert parse_json_line(std::string_view line);
-
-/// Shared JSON appenders (quotes + escaping; %.17g doubles) — the same
-/// primitives the telemetry event log renders with.
-using util::append_json_double;
-using util::append_json_string;
 
 }  // namespace canids::serve

@@ -22,6 +22,7 @@
 #include "serve/wire_framing.h"
 #include "telemetry/exposition.h"
 #include "trace/candump.h"
+#include "util/json.h"
 
 namespace canids::serve {
 
@@ -525,7 +526,7 @@ std::string ServeServer::status_json() const {
     if (!first) out += ", ";
     first = false;
     out += "{\"key\": ";
-    append_json_string(out, row.key);
+    util::append_json_string(out, row.key);
     out += ", \"wire\": \"";
     {
       const std::lock_guard<std::mutex> lock(wire_mutex_);

@@ -4,6 +4,8 @@
 #include <fstream>
 #include <stdexcept>
 
+#include "util/json.h"
+
 namespace canids::util {
 
 void write_bench_json(
@@ -11,11 +13,11 @@ void write_bench_json(
     std::initializer_list<std::pair<const char*, double>> fields) {
   const std::string path = "BENCH_" + name + ".json";
   std::ofstream out(path);
-  out << "{\"bench\": \"" << name << "\"";
+  out << "{\"bench\": " << json_quoted(name);
   char buffer[64];
   for (const auto& [key, value] : fields) {
     std::snprintf(buffer, sizeof buffer, "%.9g", value);
-    out << ", \"" << key << "\": " << buffer;
+    out << ", " << json_quoted(key) << ": " << buffer;
   }
   out << "}\n";
   out.flush();

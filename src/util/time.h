@@ -16,6 +16,10 @@ inline constexpr TimeNs kMicrosecond = 1'000;
 inline constexpr TimeNs kMillisecond = 1'000'000;
 inline constexpr TimeNs kSecond = 1'000'000'000;
 
+/// Longest duration a spec key or CLI flag may state (about 11.6 days):
+/// far past any capture or window, and far inside TimeNs.
+inline constexpr double kMaxDurationSeconds = 1e6;
+
 [[nodiscard]] constexpr TimeNs from_ms(std::int64_t ms) noexcept {
   return ms * kMillisecond;
 }

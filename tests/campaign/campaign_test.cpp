@@ -1,6 +1,8 @@
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -62,6 +64,15 @@ TEST(CampaignSpecTest, JsonRoundTrip) {
   EXPECT_EQ(restored.threshold_scales, spec.threshold_scales);
 }
 
+TEST(CampaignSpecTest, SeedRoundTripsExactly) {
+  for (const std::uint64_t seed :
+       {std::uint64_t{9007199254740993u}, std::uint64_t{UINT64_MAX}}) {
+    CampaignSpec spec;
+    spec.experiment.seed = seed;
+    EXPECT_EQ(CampaignSpec::from_json(spec.to_json()).experiment.seed, seed);
+  }
+}
+
 TEST(CampaignSpecTest, SweepIdsRoundTripAndReplaceScenarios) {
   CampaignSpec spec;
   spec.sweep_ids = {0x101, 0x42A};
@@ -97,6 +108,32 @@ TEST(CampaignSpecTest, FromJsonRejectsMalformedInput) {
                std::invalid_argument);
   EXPECT_THROW((void)CampaignSpec::from_json("{\"attack_seconds\": 0}"),
                std::invalid_argument);
+  // Strict RFC 8259 numbers; integer keys take integer tokens only.
+  for (const char* seeds : {"+2", "02", ".5", "2.0"}) {
+    EXPECT_THROW(
+        (void)CampaignSpec::from_json(std::string("{\"seeds\": ") + seeds +
+                                      "}"),
+        std::invalid_argument)
+        << seeds;
+  }
+  EXPECT_THROW((void)CampaignSpec::from_json(std::string(1000000, '[')),
+               std::invalid_argument);
+}
+
+TEST(CampaignSpecTest, FromJsonErrorsNameTheKeyAndItsRange) {
+  const auto message = [](const char* text) {
+    try {
+      (void)CampaignSpec::from_json(text);
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what());
+    }
+    return std::string("no error");
+  };
+  const std::string seeds = message("{\"seeds\": 1e10}");
+  EXPECT_NE(seeds.find("'seeds'"), std::string::npos) << seeds;
+  EXPECT_NE(seeds.find("2147483647"), std::string::npos) << seeds;
+  const std::string scenario = message("{\"scenarios\": [\"nope\"]}");
+  EXPECT_NE(scenario.find("masquerade"), std::string::npos) << scenario;
 }
 
 TEST(CampaignSpecTest, ValidateRejectsDegenerateGrids) {
@@ -110,13 +147,25 @@ TEST(CampaignSpecTest, ValidateRejectsDegenerateGrids) {
   spec.sweep_ids = {0x100};  // sweep mode needs no scenarios
   EXPECT_NO_THROW(spec.validate());
 
-  spec = CampaignSpec{};
-  spec.rates_hz = {-5.0};
-  EXPECT_THROW(spec.validate(), std::invalid_argument);
+  // Rates outside [kMinRateHz, kMaxRateHz] would make the injection
+  // period zero or overflow TimeNs.
+  for (const double rate : {-5.0, 0.0, 1e-300, 1e300}) {
+    spec = CampaignSpec{};
+    spec.rates_hz = {rate};
+    EXPECT_THROW(spec.validate(), std::invalid_argument) << rate;
+  }
 
   spec = CampaignSpec{};
   spec.seeds = 0;
   EXPECT_THROW(spec.validate(), std::invalid_argument);
+
+  for (const double alpha :
+       {0.0, -1.0, std::numeric_limits<double>::infinity(),
+        std::numeric_limits<double>::quiet_NaN()}) {
+    spec = CampaignSpec{};
+    spec.experiment.pipeline.detector.alpha = alpha;
+    EXPECT_THROW(spec.validate(), std::invalid_argument) << alpha;
+  }
 }
 
 TEST(CampaignSpecTest, PlanSeedsMatchHistoricOrderings) {

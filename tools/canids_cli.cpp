@@ -46,15 +46,16 @@
 // gate scripts. Baseline detectors without a bundled model self-calibrate
 // on the first windows of each stream. Malformed capture lines are counted
 // (and surfaced) instead of aborting the run; unknown flags or detector
-// names print usage / the registry listing and exit 1.
+// names, and flag values outside their contract, print usage / the
+// registry listing and exit 1.
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cerrno>
+#include <charconv>
 #include <chrono>
-#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
@@ -87,7 +88,9 @@
 #include "telemetry/exposition.h"
 #include "telemetry/metrics.h"
 #include "trace/trace_io.h"
+#include "util/csv.h"
 #include "util/table.h"
+#include "util/time.h"
 
 using namespace canids;
 
@@ -176,26 +179,6 @@ int usage() {
   return 64;  // EX_USAGE
 }
 
-std::optional<double> arg_number(std::vector<std::string>& args,
-                                 const std::string& flag) {
-  for (std::size_t i = 0; i + 1 < args.size(); ++i) {
-    if (args[i] == flag) {
-      double value = 0.0;
-      try {
-        std::size_t used = 0;
-        value = std::stod(args[i + 1], &used);
-        if (used != args[i + 1].size()) throw std::invalid_argument("trail");
-      } catch (const std::exception&) {
-        throw UsageError{"invalid value '" + args[i + 1] + "' for " + flag};
-      }
-      args.erase(args.begin() + static_cast<std::ptrdiff_t>(i),
-                 args.begin() + static_cast<std::ptrdiff_t>(i) + 2);
-      return value;
-    }
-  }
-  return std::nullopt;
-}
-
 std::optional<std::string> arg_string(std::vector<std::string>& args,
                                       const std::string& flag) {
   for (std::size_t i = 0; i + 1 < args.size(); ++i) {
@@ -209,37 +192,58 @@ std::optional<std::string> arg_string(std::vector<std::string>& args,
   return std::nullopt;
 }
 
-/// --calibrate parses as a double; the backends need a small positive
-/// integer, and a negative/fractional count would otherwise wrap through
-/// the size_t cast into a detector that never finishes calibrating.
-std::optional<std::size_t> arg_calibrate(std::vector<std::string>& args) {
-  const auto value = arg_number(args, "--calibrate");
-  if (!value) return std::nullopt;
-  if (*value < 2.0 || *value != std::floor(*value)) {
-    throw UsageError{"--calibrate expects an integer >= 2 (lead-in windows)"};
+/// Numeric flag: the whole token must be a finite number.
+std::optional<double> arg_number(std::vector<std::string>& args,
+                                 const std::string& flag) {
+  const auto text = arg_string(args, flag);
+  if (!text) return std::nullopt;
+  double value = 0.0;
+  if (!util::parse_double_strict(*text, value)) {
+    throw UsageError{"invalid value '" + *text + "' for " + flag};
   }
-  return static_cast<std::size_t>(*value);
+  return value;
 }
 
-/// Integer flag with explicit bounds. Fractional or out-of-range values
-/// are rejected loudly (the CLI-hardening contract: a silently truncated
-/// `--seeds 2.7` — or a `--seeds 2^32+1` wrapped through an int cast —
-/// would run a different campaign than the user asked for).
+/// Integer flag with explicit bounds, parsed exactly: a fractional,
+/// exponent-form or out-of-range token is rejected loudly (the
+/// CLI-hardening contract: a silently truncated `--seeds 2.7`, or a seed
+/// rounded through a double, would run a different campaign than the user
+/// asked for).
 std::optional<long long> arg_integer(std::vector<std::string>& args,
                                      const std::string& flag,
                                      long long min_value,
                                      long long max_value) {
-  const auto value = arg_number(args, flag);
-  if (!value) return std::nullopt;
-  if (*value != std::floor(*value) ||
-      *value < static_cast<double>(min_value) ||
-      *value > static_cast<double>(max_value)) {
+  const auto text = arg_string(args, flag);
+  if (!text) return std::nullopt;
+  long long value = 0;
+  const char* const end = text->data() + text->size();
+  const auto [ptr, ec] = std::from_chars(text->data(), end, value);
+  if (ec != std::errc{} || ptr != end || value < min_value ||
+      value > max_value) {
     throw UsageError{flag + " expects an integer in [" +
                      std::to_string(min_value) + ", " +
                      std::to_string(max_value) + "]"};
   }
-  return static_cast<long long>(*value);
+  return value;
 }
+
+/// Duration flag in seconds: finite, >= 0, and at most
+/// util::kMaxDurationSeconds so the nanosecond conversion cannot overflow.
+std::optional<double> arg_seconds(std::vector<std::string>& args,
+                                  const std::string& flag) {
+  const auto seconds = arg_number(args, flag);
+  if (seconds && !(*seconds >= 0.0 && *seconds <= util::kMaxDurationSeconds)) {
+    throw UsageError{flag + " expects seconds in [0, 1e6]"};
+  }
+  return seconds;
+}
+
+/// Upper bound of the thread-count flags (--shards, --producers,
+/// --workers).
+constexpr long long kMaxThreads = 4096;
+/// Seeds on the command line stay within 2^53, where every JSON consumer
+/// (doubles included) holds them exactly.
+constexpr long long kMaxSeed = 9007199254740992LL;
 
 bool arg_flag(std::vector<std::string>& args, const std::string& flag) {
   const auto it = std::find(args.begin(), args.end(), flag);
@@ -397,6 +401,50 @@ int cmd_detectors() {
   return 0;
 }
 
+/// --alpha and --window, shared by every command that builds detectors:
+/// alpha sets both the bit-entropy and the Müter threshold.
+void arg_alpha_window(std::vector<std::string>& args,
+                      ids::PipelineConfig& pipeline,
+                      baselines::MuterConfig& muter) {
+  if (const auto alpha = arg_number(args, "--alpha")) {
+    if (!(*alpha > 0.0)) throw UsageError{"--alpha expects a number > 0"};
+    pipeline.detector.alpha = *alpha;
+    muter.alpha = *alpha;
+  }
+  if (const auto window = arg_seconds(args, "--window")) {
+    pipeline.window.duration = util::from_seconds(*window);
+    if (pipeline.window.duration <= 0) {
+      throw UsageError{"--window expects a duration > 0"};
+    }
+  }
+}
+
+/// The engine flags fleet and serve share: --shards --queue-capacity
+/// --drain-batch --telemetry-sample.
+engine::FleetConfig arg_fleet_config(std::vector<std::string>& args) {
+  engine::FleetConfig config;
+  if (const auto shards = arg_integer(args, "--shards", 0, kMaxThreads)) {
+    config.shards = static_cast<int>(*shards);
+  }
+  if (const auto capacity =
+          arg_integer(args, "--queue-capacity", 1, 1 << 24)) {
+    if ((*capacity & (*capacity - 1)) != 0) {
+      throw UsageError{
+          "--queue-capacity expects a power of two (the per-stream SPSC "
+          "ring is mask-indexed)"};
+    }
+    config.queue_capacity = static_cast<std::size_t>(*capacity);
+  }
+  if (const auto drain = arg_integer(args, "--drain-batch", 1, 1 << 20)) {
+    config.drain_batch = static_cast<std::size_t>(*drain);
+  }
+  if (const auto sample =
+          arg_integer(args, "--telemetry-sample", 0, 1 << 20)) {
+    config.telemetry_sample = static_cast<std::size_t>(*sample);
+  }
+  return config;
+}
+
 /// The detector a detect/fleet/serve run judges with.
 struct CliDetector {
   std::string name;
@@ -429,15 +477,9 @@ std::optional<CliDetector> load_detector(
 
   CliDetector detector;
   detector.name = arg_string(args, "--detector").value_or("bit-entropy");
-  if (const auto alpha = arg_number(args, "--alpha")) {
-    options.pipeline.detector.alpha = *alpha;
-    options.muter.alpha = *alpha;
-  }
-  if (const auto window = arg_number(args, "--window")) {
-    options.pipeline.window.duration = util::from_seconds(*window);
-  }
-  if (const auto calibrate = arg_calibrate(args)) {
-    options.calibration_windows = *calibrate;
+  arg_alpha_window(args, options.pipeline, options.muter);
+  if (const auto calibrate = arg_integer(args, "--calibrate", 2, 1000000)) {
+    options.calibration_windows = static_cast<std::size_t>(*calibrate);
   }
   if (arg_flag(args, "--no-pairs")) options.pipeline.window.track_pairs = false;
   options.adopt_models(models);
@@ -518,7 +560,7 @@ std::pair<std::vector<can::TimedFrame>, std::uint64_t> read_capture_lenient(
 int cmd_detect(const std::string& models_path, const std::string& capture_path,
                std::vector<std::string> args) {
   analysis::DetectorOptions base;
-  if (const auto rank = arg_number(args, "--rank")) {
+  if (const auto rank = arg_integer(args, "--rank", 1, 2048)) {
     base.pipeline.inference.rank = static_cast<int>(*rank);
   }
   const auto detector = load_detector(models_path, args, base);
@@ -600,33 +642,13 @@ int cmd_fleet(const std::string& models_path,
   auto detector = load_detector(models_path, args);
   if (!detector) return 66;
 
-  engine::FleetConfig config;
-  if (const auto shards = arg_number(args, "--shards")) {
-    config.shards = static_cast<int>(*shards);
-  }
-  int producers = 0;
-  if (const auto value = arg_number(args, "--producers")) {
-    producers = static_cast<int>(*value);
-  }
-  if (const auto capacity =
-          arg_integer(args, "--queue-capacity", 1, 1 << 24)) {
-    if ((*capacity & (*capacity - 1)) != 0) {
-      throw UsageError{
-          "--queue-capacity expects a power of two (the per-stream SPSC "
-          "ring is mask-indexed)"};
-    }
-    config.queue_capacity = static_cast<std::size_t>(*capacity);
-  }
-  if (const auto drain = arg_integer(args, "--drain-batch", 1, 1 << 20)) {
-    config.drain_batch = static_cast<std::size_t>(*drain);
-  }
+  engine::FleetConfig config = arg_fleet_config(args);
+  const int producers =
+      static_cast<int>(arg_integer(args, "--producers", 0, kMaxThreads)
+                           .value_or(0));
   const bool quiet = arg_flag(args, "--quiet");
   const auto alerts_out = arg_string(args, "--alerts-out");
   const auto metrics_out = arg_string(args, "--metrics-out");
-  if (const auto sample =
-          arg_integer(args, "--telemetry-sample", 0, 1 << 20)) {
-    config.telemetry_sample = static_cast<std::size_t>(*sample);
-  }
   reject_leftovers(args);
   // A registry exists exactly when something will read it: sampling fills
   // its histograms, --metrics-out dumps its exposition.
@@ -778,22 +800,7 @@ int cmd_serve(const std::string& models_path, std::vector<std::string> args) {
   auto detector = load_detector(models_path, args);
   if (!detector) return 66;
 
-  engine::FleetConfig config;
-  if (const auto shards = arg_number(args, "--shards")) {
-    config.shards = static_cast<int>(*shards);
-  }
-  if (const auto capacity =
-          arg_integer(args, "--queue-capacity", 1, 1 << 24)) {
-    if ((*capacity & (*capacity - 1)) != 0) {
-      throw UsageError{
-          "--queue-capacity expects a power of two (the per-stream SPSC "
-          "ring is mask-indexed)"};
-    }
-    config.queue_capacity = static_cast<std::size_t>(*capacity);
-  }
-  if (const auto drain = arg_integer(args, "--drain-batch", 1, 1 << 20)) {
-    config.drain_batch = static_cast<std::size_t>(*drain);
-  }
+  engine::FleetConfig config = arg_fleet_config(args);
   const std::string on_full =
       arg_string(args, "--on-full").value_or("block");
   if (on_full == "block") {
@@ -817,10 +824,6 @@ int cmd_serve(const std::string& models_path, std::vector<std::string> args) {
     serve_config.max_line = static_cast<std::size_t>(*max_line);
   }
   const auto events_out = arg_string(args, "--events-out");
-  if (const auto sample =
-          arg_integer(args, "--telemetry-sample", 0, 1 << 20)) {
-    config.telemetry_sample = static_cast<std::size_t>(*sample);
-  }
   const bool quiet = arg_flag(args, "--quiet");
   reject_leftovers(args);
   // The daemon always carries a registry — METRICS must answer whether or
@@ -1030,13 +1033,17 @@ int cmd_ctl(const std::string& addr, const std::vector<std::string>& words) {
 }
 
 int cmd_simulate(const std::string& out_path, std::vector<std::string> args) {
-  const double seconds = arg_number(args, "--seconds").value_or(20.0);
-  const std::uint64_t seed = static_cast<std::uint64_t>(
-      arg_number(args, "--seed").value_or(42.0));
+  const double seconds = arg_seconds(args, "--seconds").value_or(20.0);
+  const auto seed = static_cast<std::uint64_t>(
+      arg_integer(args, "--seed", 0, kMaxSeed).value_or(42));
   const std::string behavior_name =
       arg_string(args, "--behavior").value_or("city");
   const std::optional<std::string> attack_name = arg_string(args, "--attack");
   const double frequency = arg_number(args, "--freq").value_or(100.0);
+  if (!(frequency >= attacks::kMinRateHz &&
+        frequency <= attacks::kMaxRateHz)) {
+    throw UsageError{"--freq expects a rate in [0.001, 100000] Hz"};
+  }
   reject_leftovers(args);
 
   trace::DrivingBehavior behavior = trace::DrivingBehavior::kCity;
@@ -1063,13 +1070,8 @@ int cmd_simulate(const std::string& out_path, std::vector<std::string> args) {
   if (attack_name) {
     const auto kind = campaign::scenario_from_token(*attack_name);
     if (!kind) {
-      std::fprintf(stderr, "unknown attack '%s' (try:",
-                   attack_name->c_str());
-      for (const attacks::ScenarioKind k : attacks::kAllScenarios) {
-        std::fprintf(stderr, " %s",
-                     std::string(attacks::scenario_token(k)).c_str());
-      }
-      std::fprintf(stderr, ")\n");
+      std::fprintf(stderr, "unknown attack '%s' (%s)\n", attack_name->c_str(),
+                   campaign::scenario_token_list().c_str());
       return 65;
     }
     attacks::AttackConfig attack_config;
@@ -1121,13 +1123,11 @@ std::vector<double> parse_number_list(const std::string& value,
                                       const std::string& flag) {
   std::vector<double> numbers;
   for (const std::string& item : split_list(value)) {
-    try {
-      std::size_t used = 0;
-      numbers.push_back(std::stod(item, &used));
-      if (used != item.size()) throw std::invalid_argument("trail");
-    } catch (const std::exception&) {
+    double number = 0.0;
+    if (!util::parse_double_strict(item, number)) {
       throw UsageError{"invalid value '" + item + "' in " + flag};
     }
+    numbers.push_back(number);
   }
   return numbers;
 }
@@ -1222,12 +1222,8 @@ int cmd_campaign(std::vector<std::string> args) {
     for (const std::string& token : split_list(*scenarios)) {
       const auto kind = campaign::scenario_from_token(token);
       if (!kind) {
-        std::string known;
-        for (const attacks::ScenarioKind k : attacks::kAllScenarios) {
-          if (!known.empty()) known += '|';
-          known += std::string(attacks::scenario_token(k));
-        }
-        throw UsageError{"unknown scenario '" + token + "' (" + known + ")"};
+        throw UsageError{"unknown scenario '" + token + "' (" +
+                         campaign::scenario_token_list() + ")"};
       }
       spec.scenarios.push_back(*kind);
     }
@@ -1253,26 +1249,20 @@ int cmd_campaign(std::vector<std::string> args) {
   if (const auto seeds = arg_integer(args, "--seeds", 1, 1000000)) {
     spec.seeds = static_cast<int>(*seeds);
   }
-  if (const auto seed = arg_integer(args, "--seed", 0, 9007199254740992LL)) {
+  if (const auto seed = arg_integer(args, "--seed", 0, kMaxSeed)) {
     spec.experiment.seed = static_cast<std::uint64_t>(*seed);
   }
-  if (const auto alpha = arg_number(args, "--alpha")) {
-    spec.experiment.pipeline.detector.alpha = *alpha;
-    spec.experiment.muter.alpha = *alpha;
-  }
-  if (const auto window = arg_number(args, "--window")) {
-    spec.experiment.pipeline.window.duration = util::from_seconds(*window);
-  }
-  if (const auto lead_in = arg_number(args, "--lead-in")) {
+  arg_alpha_window(args, spec.experiment.pipeline, spec.experiment.muter);
+  if (const auto lead_in = arg_seconds(args, "--lead-in")) {
     spec.experiment.clean_lead_in = util::from_seconds(*lead_in);
   }
-  if (const auto duration = arg_number(args, "--duration")) {
+  if (const auto duration = arg_seconds(args, "--duration")) {
     spec.experiment.attack_duration = util::from_seconds(*duration);
   }
   if (const auto training = arg_integer(args, "--training-windows", 2, 1000000)) {
     spec.experiment.training_windows = static_cast<std::size_t>(*training);
   }
-  if (const auto workers = arg_integer(args, "--workers", 0, 4096)) {
+  if (const auto workers = arg_integer(args, "--workers", 0, kMaxThreads)) {
     spec.workers = static_cast<int>(*workers);
   }
   if (const auto shard = arg_string(args, "--shard")) {
