@@ -5,9 +5,9 @@
 //   2. the blind spot: an attacker using an identifier never seen in
 //      training is invisible to the interval method but still shifts the
 //      bit entropy.
-// Every trial goes through ExperimentRunner::run_trial_with — the same
-// unified-backend plumbing the fleet engine and the CLI use — with
-// identical seeds per row, so both detectors judge identical traffic.
+// Every trial goes through ExperimentRunner::run_instrumented_trial (or its
+// single-ID form) — the same trial path Table I and the campaigns use —
+// with one trial seed per row, so both detectors judge identical traffic.
 #include <algorithm>
 #include <iostream>
 
@@ -65,14 +65,20 @@ int main() {
     }
   }
 
-  const metrics::ComparisonTrial bit_unseen =
-      runner.run_single_id_trial_with("bit-entropy", unseen_id, 100.0, 321, 5);
-  const metrics::ComparisonTrial interval_unseen =
-      runner.run_single_id_trial_with("interval", unseen_id, 100.0, 321, 5);
+  const ids::PipelineCounters bit_unseen =
+      runner
+          .run_instrumented_single_id_trial("bit-entropy", unseen_id, 100.0,
+                                            321)
+          .counters;
+  const ids::PipelineCounters interval_unseen =
+      runner
+          .run_instrumented_single_id_trial("interval", unseen_id, 100.0, 321)
+          .counters;
 
-  util::Table blind({"detector", "alert windows (of " +
-                                     std::to_string(bit_unseen.windows) + ")",
-                     "verdict"});
+  util::Table blind(
+      {"detector",
+       "alert windows (of " + std::to_string(bit_unseen.windows_closed) + ")",
+       "verdict"});
   blind.add_row({"bit-slice (ours)", std::to_string(bit_unseen.alerts),
                  bit_unseen.alerts > 0 ? "attack detected" : "MISSED"});
   blind.add_row({"interval [11]", std::to_string(interval_unseen.alerts),
@@ -90,13 +96,20 @@ int main() {
   // --- 3. Known-ID speed-up: both should detect --------------------------------
   // Attack with a known legal ID to show the comparison is fair: the
   // baseline does work on its home turf.
-  const metrics::ComparisonTrial bit_known = runner.run_trial_with(
-      "bit-entropy", attacks::ScenarioKind::kSingle, 100.0, 654, 8);
-  const metrics::ComparisonTrial interval_known = runner.run_trial_with(
-      "interval", attacks::ScenarioKind::kSingle, 100.0, 654, 8);
+  const ids::PipelineCounters bit_known =
+      runner
+          .run_instrumented_trial("bit-entropy", attacks::ScenarioKind::kSingle,
+                                  100.0, 654)
+          .counters;
+  const ids::PipelineCounters interval_known =
+      runner
+          .run_instrumented_trial("interval", attacks::ScenarioKind::kSingle,
+                                  100.0, 654)
+          .counters;
 
-  util::Table known({"detector", "alert windows (of " +
-                                     std::to_string(bit_known.windows) + ")"});
+  util::Table known(
+      {"detector",
+       "alert windows (of " + std::to_string(bit_known.windows_closed) + ")"});
   known.add_row({"bit-slice (ours)", std::to_string(bit_known.alerts)});
   known.add_row({"interval [11]", std::to_string(interval_known.alerts)});
   known.print(std::cout);

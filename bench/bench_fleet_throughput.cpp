@@ -1,5 +1,5 @@
 // FLEET — aggregate detection throughput of the sharded engine vs. shard
-// count, against the single-pipeline sequential baseline. The paper's
+// count, against the single-backend sequential baseline. The paper's
 // detector keeps 11 counters per stream, so the per-frame work is tiny and
 // the question is how well the shard fan-out turns cores into frames/sec.
 //
@@ -17,7 +17,6 @@
 #include "analysis/registry.h"
 #include "engine/fleet_engine.h"
 #include "ids/golden_template.h"
-#include "ids/pipeline.h"
 #include "ids/window.h"
 #include "trace/synthetic_vehicle.h"
 #include "trace/trace_source.h"
@@ -113,7 +112,7 @@ BENCHMARK(BM_Fleet_Throughput)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
-/// Baseline: the pre-engine model — one pipeline at a time, one thread.
+/// Baseline: the pre-engine model — one backend at a time, one thread.
 void BM_Sequential_Baseline(benchmark::State& state) {
   const auto golden = fleet_template();
   const auto& traffic = fleet_traffic();
@@ -122,13 +121,13 @@ void BM_Sequential_Baseline(benchmark::State& state) {
     std::uint64_t windows = 0;
     for (int copy = 0; copy < kStreamsPerVehicle; ++copy) {
       for (const auto& trace : traffic) {
-        ids::IdsPipeline pipeline(golden, {}, ids::PipelineConfig{});
+        analysis::BitEntropyBackend backend(golden, {});
         for (const can::TimedFrame& frame : trace) {
           benchmark::DoNotOptimize(
-              pipeline.on_frame(frame.timestamp, frame.frame.id()));
+              backend.on_frame(frame.timestamp, frame.frame.id()));
         }
-        pipeline.finish();
-        windows += pipeline.counters().windows_closed;
+        (void)backend.finish();
+        windows += backend.counters().windows_closed;
       }
     }
     benchmark::DoNotOptimize(windows);

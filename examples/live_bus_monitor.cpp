@@ -1,5 +1,5 @@
 // Live bus monitor, service edition: the same timeline of attacks as
-// before, but instead of wiring an IdsPipeline straight to the bus, the
+// before, but instead of wiring a detector straight to the bus, the
 // monitor drives the full live-serving stack in-process — a FleetEngine
 // behind a ServeServer on a Unix-domain socket. Bus frames go out over a
 // data connection as candump lines (exactly what `canids send` would

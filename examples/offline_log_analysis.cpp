@@ -6,15 +6,16 @@
 //   ./offline_log_analysis train.log drive.log
 //
 // train.log must be attack-free; drive.log is the capture to analyse. Both
-// candump and Vehicle-Spy-style CSV are auto-detected.
+// candump and Vehicle-Spy-style CSV are auto-detected. The self-contained
+// demo exits 1 if its attacked drive raises no alert.
 #include <cstdio>
 #include <filesystem>
 #include <memory>
 #include <set>
 #include <string>
 
+#include "analysis/backends.h"
 #include "attacks/scenario.h"
-#include "ids/pipeline.h"
 #include "trace/trace_io.h"
 
 using namespace canids;
@@ -64,7 +65,8 @@ void generate_demo_logs(const std::filesystem::path& train_path,
 int main(int argc, char** argv) {
   std::filesystem::path train_path;
   std::filesystem::path drive_path;
-  if (argc == 3) {
+  const bool demo = argc != 3;
+  if (!demo) {
     train_path = argv[1];
     drive_path = argv[2];
   } else {
@@ -118,34 +120,34 @@ int main(int argc, char** argv) {
 
   ids::PipelineConfig pipeline_config;
   pipeline_config.window = window;
-  ids::IdsPipeline pipeline(golden, pool, pipeline_config);
+  analysis::BitEntropyBackend backend(golden, pool, pipeline_config);
 
   std::size_t alert_windows = 0;
-  auto report_alert = [&](const ids::WindowReport& report) {
-    if (!report.detection.alert) return;
+  auto report_alert = [&](const analysis::WindowVerdict& verdict) {
+    if (!verdict.alert) return;
     ++alert_windows;
-    std::printf("[%6.1fs] intrusion: bits", util::to_seconds(
-                                                report.snapshot.start));
-    for (int bit : report.detection.alerted_bits) std::printf(" %d", bit + 1);
-    if (report.inference && !report.inference->ranked_candidates.empty()) {
+    std::printf("[%6.1fs] intrusion: bits", util::to_seconds(verdict.start));
+    for (int bit : verdict.detail->alerted_bits) std::printf(" %d", bit + 1);
+    const std::vector<std::uint32_t>& candidates =
+        verdict.detail->ranked_candidates;
+    if (!candidates.empty()) {
       std::printf("  candidates:");
-      for (std::size_t i = 0;
-           i < report.inference->ranked_candidates.size() && i < 10; ++i) {
-        std::printf(" %03X", report.inference->ranked_candidates[i]);
+      for (std::size_t i = 0; i < candidates.size() && i < 10; ++i) {
+        std::printf(" %03X", candidates[i]);
       }
     }
     std::printf("\n");
   };
 
   for (const trace::LogRecord& record : drive) {
-    if (auto report = pipeline.on_frame(record.timestamp, record.frame.id())) {
-      report_alert(*report);
+    if (auto verdict = backend.on_frame(record.timestamp, record.frame.id())) {
+      report_alert(*verdict);
     }
   }
-  if (auto report = pipeline.finish()) report_alert(*report);
+  if (auto verdict = backend.finish()) report_alert(*verdict);
 
   std::printf("%zu of %llu windows alerted\n", alert_windows,
               static_cast<unsigned long long>(
-                  pipeline.counters().windows_closed));
-  return 0;
+                  backend.counters().windows_closed));
+  return demo && alert_windows == 0 ? 1 : 0;
 }

@@ -2,14 +2,14 @@
 //
 //   1. Model a vehicle (or capture real traffic with candump/Vehicle Spy).
 //   2. Train the golden template on clean driving windows.
-//   3. Attach the IDS pipeline and stream frames through it.
+//   3. Attach the IDS backend and stream frames through it.
 //   4. React to alerts: which bits moved, which IDs are suspect.
 //
 // Build & run:  ./quickstart
 #include <cstdio>
 
+#include "analysis/backends.h"
 #include "attacks/scenario.h"
-#include "ids/pipeline.h"
 #include "metrics/experiment.h"
 
 using namespace canids;
@@ -46,38 +46,40 @@ int main() {
 
   // --- 4. Attach the IDS and stream the bus through it ----------------------
   ids::PipelineConfig pipeline_config;  // 1 s windows, alpha = 5, rank = 10
-  ids::IdsPipeline pipeline(golden, vehicle.id_pool(), pipeline_config);
+  analysis::BitEntropyBackend backend(golden, vehicle.id_pool(),
+                                      pipeline_config);
 
-  pipeline.set_alert_handler([](const ids::WindowReport& report) {
-    std::printf("[%5.1fs] ALERT  bits:", util::to_seconds(
-                                             report.snapshot.start));
-    for (int bit : report.detection.alerted_bits) {
+  const auto report = [](const analysis::WindowVerdict& verdict) {
+    if (!verdict.alert) return;
+    std::printf("[%5.1fs] ALERT  bits:", util::to_seconds(verdict.start));
+    for (int bit : verdict.detail->alerted_bits) {
       std::printf(" %d", bit + 1);  // paper-style 1-based bit positions
     }
-    if (report.inference) {
+    const std::vector<std::uint32_t>& suspects =
+        verdict.detail->ranked_candidates;
+    if (!suspects.empty()) {
       std::printf("  suspect IDs:");
-      for (std::size_t i = 0;
-           i < report.inference->ranked_candidates.size() && i < 5; ++i) {
-        std::printf(" %03X", report.inference->ranked_candidates[i]);
+      for (std::size_t i = 0; i < suspects.size() && i < 5; ++i) {
+        std::printf(" %03X", suspects[i]);
       }
-      std::printf("  (injected fraction ~%.1f%%)",
-                  report.inference->estimated_injection_fraction * 100.0);
     }
     std::printf("\n");
-  });
+  };
 
-  bus.add_listener([&pipeline](const can::TimedFrame& frame) {
-    pipeline.on_frame(frame.timestamp, frame.frame.id());
+  bus.add_listener([&](const can::TimedFrame& frame) {
+    if (auto verdict = backend.on_frame(frame.timestamp, frame.frame.id())) {
+      report(*verdict);
+    }
   });
 
   bus.run_until(15 * util::kSecond);
-  pipeline.finish();
+  if (auto verdict = backend.finish()) report(*verdict);
 
   std::printf(
       "done: %llu frames, %llu windows, %llu alerts, bus load %.0f%%\n",
-      static_cast<unsigned long long>(pipeline.counters().frames),
-      static_cast<unsigned long long>(pipeline.counters().windows_closed),
-      static_cast<unsigned long long>(pipeline.counters().alerts),
+      static_cast<unsigned long long>(backend.counters().frames),
+      static_cast<unsigned long long>(backend.counters().windows_closed),
+      static_cast<unsigned long long>(backend.counters().alerts),
       bus.stats().load() * 100.0);
-  return pipeline.counters().alerts > 0 ? 0 : 1;
+  return backend.counters().alerts > 0 ? 0 : 1;
 }

@@ -1,9 +1,7 @@
 #include "analysis/backends.h"
 
 #include <algorithm>
-#include <istream>
 #include <memory>
-#include <ostream>
 #include <stdexcept>
 #include <utility>
 
@@ -18,27 +16,30 @@ namespace canids::analysis {
 BitEntropyBackend::BitEntropyBackend(
     std::shared_ptr<const ids::GoldenTemplate> golden,
     std::vector<std::uint32_t> id_pool, ids::PipelineConfig config)
-    : golden_(std::move(golden)),
-      id_pool_(std::move(id_pool)),
+    : id_pool_(std::move(id_pool)),
       config_(config),
-      pipeline_(golden_, id_pool_, config_) {
-  CANIDS_EXPECTS(golden_ != nullptr);
+      accumulator_(config.window),
+      detector_(std::move(golden), config.detector) {
+  if (config_.infer_on_alert && !id_pool_.empty()) {
+    inference_.emplace(detector_.golden_ptr(), id_pool_, config_.inference);
+  }
 }
 
-WindowVerdict BitEntropyBackend::verdict_of(const ids::WindowReport& report) {
+WindowVerdict BitEntropyBackend::judge(const ids::WindowSnapshot& snapshot) {
+  ids::DetectionResult detection = detector_.evaluate(snapshot);
   WindowVerdict verdict;
-  verdict.start = report.snapshot.start;
-  verdict.end = report.snapshot.end;
-  verdict.frames = report.snapshot.frames;
-  verdict.evaluated = report.detection.evaluated;
-  verdict.alert = report.detection.alert;
+  verdict.start = snapshot.start;
+  verdict.end = snapshot.end;
+  verdict.frames = snapshot.frames;
+  verdict.evaluated = detection.evaluated;
+  verdict.alert = detection.alert;
   // Decision variable: the bit whose deviation is worst *relative to its
   // own threshold* — the native alert fires when any bit exceeds its
   // threshold, so the max deviation/threshold ratio tops 1 exactly when
   // the window alerts (a max-raw-deviation bit could sit inside a wide
   // band while a quieter bit breaks a narrow one). Ratios are compared by
   // cross-multiplication so zero thresholds order correctly.
-  for (const ids::BitDeviation& bit : report.detection.bits) {
+  for (const ids::BitDeviation& bit : detection.bits) {
     const double lhs = bit.deviation * verdict.threshold;
     const double rhs = verdict.metric * bit.threshold;
     if (lhs > rhs || (lhs == rhs && bit.deviation > verdict.metric)) {
@@ -46,24 +47,25 @@ WindowVerdict BitEntropyBackend::verdict_of(const ids::WindowReport& report) {
       verdict.threshold = bit.threshold;
     }
   }
+  ++counters_.windows_closed;
+  if (verdict.evaluated) ++counters_.windows_evaluated;
   if (verdict.alert) {
+    ++counters_.alerts;
     Alert detail;
-    detail.alerted_bits = report.detection.alerted_bits;
-    if (report.inference) {
-      detail.ranked_candidates = report.inference->ranked_candidates;
+    detail.alerted_bits = std::move(detection.alerted_bits);
+    if (inference_) {
+      detail.ranked_candidates = inference_->infer(snapshot).ranked_candidates;
     }
     verdict.detail = std::move(detail);
   }
-  ++counters_.windows_closed;
-  if (verdict.evaluated) ++counters_.windows_evaluated;
-  if (verdict.alert) ++counters_.alerts;
   return verdict;
 }
 
 std::optional<WindowVerdict> BitEntropyBackend::on_frame(
     util::TimeNs timestamp, const can::CanId& id) {
   ++counters_.frames;
-  if (id.width() != golden_->width) {
+  std::optional<ids::WindowSnapshot> snapshot;
+  if (id.width() != detector_.golden().width) {
     // E.g. a 29-bit extended identifier against the 11-bit template: the
     // bit counters cannot represent it, so surface it as dropped instead
     // of silently folding it into the wrong bit positions. Its timestamp
@@ -71,58 +73,62 @@ std::optional<WindowVerdict> BitEntropyBackend::on_frame(
     // boundaries aligned with detectors that consume every frame (the
     // ensemble composes on that invariant).
     ++counters_.dropped_frames;
-    if (auto report = pipeline_.on_gap(timestamp)) {
-      return verdict_of(*report);
-    }
-    return std::nullopt;
+    snapshot = accumulator_.advance(timestamp);
+  } else {
+    snapshot = accumulator_.add(timestamp, id);
   }
-  if (auto report = pipeline_.on_frame(timestamp, id)) {
-    return verdict_of(*report);
-  }
-  return std::nullopt;
+  if (!snapshot) return std::nullopt;
+  return judge(*snapshot);
 }
 
 void BitEntropyBackend::on_frames(const can::TimedId* frames,
                                   std::size_t count,
                                   std::vector<WindowVerdict>& out) {
+  const int width = detector_.golden().width;
+  counters_.frames += count;
   std::size_t i = 0;
   while (i < count) {
-    if (frames[i].id.width() != golden_->width) {
+    if (frames[i].id.width() != width) {
       // Same contract as on_frame: the frame is dropped but its timestamp
       // still drives the window clock (ensemble alignment invariant).
-      ++counters_.frames;
       ++counters_.dropped_frames;
-      if (auto report = pipeline_.on_gap(frames[i].timestamp)) {
-        out.push_back(verdict_of(*report));
+      if (auto snapshot = accumulator_.advance(frames[i].timestamp)) {
+        out.push_back(judge(*snapshot));
       }
       ++i;
       continue;
     }
     std::size_t j = i + 1;
-    while (j < count && frames[j].id.width() == golden_->width) ++j;
-    counters_.frames += j - i;
-    report_scratch_.clear();
-    pipeline_.on_frames(frames + i, j - i, report_scratch_);
-    for (const ids::WindowReport& report : report_scratch_) {
-      out.push_back(verdict_of(report));
+    while (j < count && frames[j].id.width() == width) ++j;
+    // The detector and inference engine are stateless, so judging a run's
+    // windows after it is counted changes nothing.
+    accumulator_.add_batch(frames + i, j - i, snapshot_scratch_);
+    for (const ids::WindowSnapshot& snapshot : snapshot_scratch_) {
+      out.push_back(judge(snapshot));
     }
+    snapshot_scratch_.clear();
     i = j;
   }
-  report_scratch_.clear();
 }
 
 void BitEntropyBackend::rebind_models(const model::StoredModels& models) {
-  if (!models.golden) return;
-  // rebind() validates the width before mutating anything, so a throw
-  // leaves both the pipeline and golden_ untouched.
-  pipeline_.rebind(models.golden);
-  golden_ = models.golden;
+  const std::shared_ptr<const ids::GoldenTemplate>& golden = models.golden;
+  if (!golden) return;
+  // Validate before mutating anything: the accumulator's live bit counts
+  // are width-shaped, so a throw leaves the backend untouched.
+  if (golden->width != detector_.golden().width) {
+    throw std::invalid_argument(
+        "rebind: golden template width mismatch (live window state is "
+        "shaped for width " +
+        std::to_string(detector_.golden().width) + ", got " +
+        std::to_string(golden->width) + ")");
+  }
+  detector_ = ids::Detector(golden, config_.detector);
+  if (inference_) inference_.emplace(golden, id_pool_, config_.inference);
 }
 
 std::optional<WindowVerdict> BitEntropyBackend::finish() {
-  if (auto report = pipeline_.finish()) {
-    return verdict_of(*report);
-  }
+  if (auto snapshot = accumulator_.flush()) return judge(*snapshot);
   return std::nullopt;
 }
 
@@ -133,7 +139,7 @@ DetectorInfo BitEntropyBackend::describe() const {
   info.state_growth = config_.window.track_pairs
                           ? "O(1): 11 bit + 55 pair counters"
                           : "O(1): 11 bit counters";
-  info.supports_inference = pipeline_.inference_enabled();
+  info.supports_inference = inference_.has_value();
   info.state_bytes = config_.window.track_pairs
                          ? ids::PairCounters::state_bytes()
                          : ids::BitCounters::state_bytes();
@@ -144,23 +150,8 @@ DetectorInfo BitEntropyBackend::describe() const {
 std::unique_ptr<DetectorBackend> BitEntropyBackend::clone_for_stream(
     std::vector<std::uint32_t> id_pool) const {
   return std::make_unique<BitEntropyBackend>(
-      golden_, id_pool.empty() ? id_pool_ : std::move(id_pool), config_);
-}
-
-std::string_view BitEntropyBackend::model_section() const noexcept {
-  return model::kGoldenSection;
-}
-
-void BitEntropyBackend::export_model(std::ostream& out) const {
-  golden_->save(out);
-}
-
-void BitEntropyBackend::import_model(std::istream& in) {
-  golden_ = std::make_shared<const ids::GoldenTemplate>(
-      ids::GoldenTemplate::load(in));
-  // Fresh pipeline against the new template: runtime window state restarts
-  // pristine (import is a cold start, not a mid-window model swap).
-  pipeline_ = ids::IdsPipeline(golden_, id_pool_, config_);
+      detector_.golden_ptr(), id_pool.empty() ? id_pool_ : std::move(id_pool),
+      config_);
 }
 
 // ---- SymbolEntropyBackend ---------------------------------------------------
@@ -253,27 +244,6 @@ std::unique_ptr<DetectorBackend> SymbolEntropyBackend::clone_for_stream(
   // calibrate on their own stream (per-vehicle entropy bands).
   return std::make_unique<SymbolEntropyBackend>(
       pretrained_, config_, window_duration_, calibration_windows_);
-}
-
-std::string_view SymbolEntropyBackend::model_section() const noexcept {
-  return model::kMuterSection;
-}
-
-void SymbolEntropyBackend::export_model(std::ostream& out) const {
-  if (!model_) {
-    throw std::runtime_error(
-        "symbol-entropy: no trained model to export — calibration has not "
-        "finished");
-  }
-  model_->save(out);
-}
-
-void SymbolEntropyBackend::import_model(std::istream& in) {
-  pretrained_ = std::make_shared<const baselines::MuterEntropyIds>(
-      baselines::MuterEntropyIds::load(in));
-  model_ = pretrained_;
-  training_.clear();
-  accumulator_ = baselines::SymbolEntropyAccumulator(window_duration_);
 }
 
 // ---- IntervalBackend --------------------------------------------------------
@@ -380,29 +350,6 @@ std::unique_ptr<DetectorBackend> IntervalBackend::clone_for_stream(
   return std::make_unique<IntervalBackend>(pretrained_, config_,
                                            window_duration_,
                                            calibration_windows_);
-}
-
-std::string_view IntervalBackend::model_section() const noexcept {
-  return model::kIntervalSection;
-}
-
-void IntervalBackend::export_model(std::ostream& out) const {
-  if (!detector_.trained()) {
-    throw std::runtime_error(
-        "interval: no trained model to export — calibration has not "
-        "finished");
-  }
-  detector_.save(out);
-}
-
-void IntervalBackend::import_model(std::istream& in) {
-  pretrained_ = std::make_shared<const baselines::IntervalIds>(
-      baselines::IntervalIds::load(in));
-  detector_ = *pretrained_;
-  clock_ = util::WindowClock(window_duration_);
-  last_timestamp_ = 0;
-  frames_in_window_ = 0;
-  windows_trained_ = 0;
 }
 
 // ---- EnsembleDetector -------------------------------------------------------

@@ -1,7 +1,7 @@
 // The four built-in DetectorBackend implementations:
 //
-//   * BitEntropyBackend    — the paper's bit-slice entropy IDS (wraps
-//                            IdsPipeline; shares a GoldenTemplate).
+//   * BitEntropyBackend    — the paper's bit-slice entropy IDS (shares a
+//                            GoldenTemplate).
 //   * SymbolEntropyBackend — Müter & Asaj [8] whole-distribution entropy
 //                            (wraps SymbolEntropyAccumulator +
 //                            MuterEntropyIds).
@@ -29,21 +29,21 @@
 
 namespace canids::analysis {
 
-/// The paper's detector behind the unified interface.
-class BitEntropyBackend final : public DetectorBackend,
-                                public TrainableBackend {
+/// The paper's detector behind the unified interface: windowing, golden-band
+/// detection, and (on alerting windows) malicious-ID inference.
+class BitEntropyBackend final : public DetectorBackend {
  public:
   /// `golden` must be non-null. A non-empty `id_pool` enables malicious-ID
-  /// inference on alerting windows.
+  /// inference on alerting windows (unless config.infer_on_alert is off).
   BitEntropyBackend(std::shared_ptr<const ids::GoldenTemplate> golden,
                     std::vector<std::uint32_t> id_pool,
                     ids::PipelineConfig config = {});
 
   std::optional<WindowVerdict> on_frame(util::TimeNs timestamp,
                                         const can::CanId& id) override;
-  /// The batched hot path: width-matching runs flow block-wise through
-  /// IdsPipeline::on_frames (SIMD-counted); results are bit-identical to
-  /// the per-frame loop.
+  /// The batched hot path: width-matching runs are block-counted through
+  /// WindowAccumulator::add_batch (SIMD kernels); results are bit-identical
+  /// to the per-frame loop.
   void on_frames(const can::TimedId* frames, std::size_t count,
                  std::vector<WindowVerdict>& out) override;
   /// Takes `models.golden` (same identifier width required); the open
@@ -57,32 +57,22 @@ class BitEntropyBackend final : public DetectorBackend,
   [[nodiscard]] std::unique_ptr<DetectorBackend> clone_for_stream(
       std::vector<std::uint32_t> id_pool = {}) const override;
 
-  [[nodiscard]] TrainableBackend* trainable() noexcept override {
-    return this;
-  }
-  [[nodiscard]] std::string_view model_section() const noexcept override;
-  void export_model(std::ostream& out) const override;
-  void import_model(std::istream& in) override;
-
-  /// The wrapped pipeline (bit-level detail beyond the verdict model).
-  [[nodiscard]] const ids::IdsPipeline& pipeline() const noexcept {
-    return pipeline_;
-  }
-
  private:
-  [[nodiscard]] WindowVerdict verdict_of(const ids::WindowReport& report);
+  /// Detect, count, infer on alert, and build the verdict of one window.
+  [[nodiscard]] WindowVerdict judge(const ids::WindowSnapshot& snapshot);
 
-  std::shared_ptr<const ids::GoldenTemplate> golden_;
   std::vector<std::uint32_t> id_pool_;
   ids::PipelineConfig config_;
-  ids::IdsPipeline pipeline_;
+  ids::WindowAccumulator accumulator_;
+  ids::Detector detector_;
+  /// Present when config.infer_on_alert is set and the pool is non-empty.
+  std::optional<ids::InferenceEngine> inference_;
   ids::PipelineCounters counters_;
-  std::vector<ids::WindowReport> report_scratch_;  ///< on_frames buffer
+  std::vector<ids::WindowSnapshot> snapshot_scratch_;  ///< on_frames buffer
 };
 
 /// Whole-ID-distribution entropy (Müter & Asaj [8]).
-class SymbolEntropyBackend final : public DetectorBackend,
-                                   public TrainableBackend {
+class SymbolEntropyBackend final : public DetectorBackend {
  public:
   /// With a pre-trained `model`, every window is judged from the start;
   /// with nullptr the backend trains itself on the first
@@ -107,15 +97,6 @@ class SymbolEntropyBackend final : public DetectorBackend,
   [[nodiscard]] std::unique_ptr<DetectorBackend> clone_for_stream(
       std::vector<std::uint32_t> id_pool = {}) const override;
 
-  [[nodiscard]] TrainableBackend* trainable() noexcept override {
-    return this;
-  }
-  [[nodiscard]] std::string_view model_section() const noexcept override;
-  /// Exports the active model — pretrained or self-calibrated; throws
-  /// while calibration is still in progress.
-  void export_model(std::ostream& out) const override;
-  void import_model(std::istream& in) override;
-
  private:
   [[nodiscard]] WindowVerdict judge(const baselines::SymbolWindow& window);
 
@@ -130,8 +111,7 @@ class SymbolEntropyBackend final : public DetectorBackend,
 };
 
 /// Message-interval IDS (Song et al. [11]) with time-based windowing.
-class IntervalBackend final : public DetectorBackend,
-                              public TrainableBackend {
+class IntervalBackend final : public DetectorBackend {
  public:
   /// With a pre-trained `model` (frozen learned periods, pristine runtime
   /// state), detection starts immediately; with nullptr the backend trains
@@ -155,15 +135,6 @@ class IntervalBackend final : public DetectorBackend,
   [[nodiscard]] DetectorInfo describe() const override;
   [[nodiscard]] std::unique_ptr<DetectorBackend> clone_for_stream(
       std::vector<std::uint32_t> id_pool = {}) const override;
-
-  [[nodiscard]] TrainableBackend* trainable() noexcept override {
-    return this;
-  }
-  [[nodiscard]] std::string_view model_section() const noexcept override;
-  /// Exports the frozen learned periods — pretrained or self-calibrated;
-  /// throws while calibration is still in progress.
-  void export_model(std::ostream& out) const override;
-  void import_model(std::istream& in) override;
 
  private:
   [[nodiscard]] WindowVerdict close_window(util::TimeNs start,

@@ -3,7 +3,7 @@
 // traffic; this interface is the one shape every detector — the paper's
 // bit-slice entropy IDS, the whole-distribution entropy baseline [8], the
 // time-interval baseline [11], and any composition of them — presents to
-// the pipeline, the fleet engine, the experiment harness, and the CLI:
+// the fleet engine, the live service, the experiment harness, and the CLI:
 //
 //   frame in ──► on_frame() ──► optional<WindowVerdict> out
 //
@@ -14,7 +14,6 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <memory>
 #include <optional>
 #include <string>
@@ -45,7 +44,7 @@ struct Alert {
 };
 
 /// One judged window — the common event model that subsumes the bit-level
-/// WindowReport, MuterEntropyIds::Result, and the interval IDS's window
+/// DetectionResult, MuterEntropyIds::Result, and the interval IDS's window
 /// decision. `metric` vs `threshold` is each detector's decision variable
 /// in its own unit (max bit-entropy deviation, whole-distribution entropy
 /// deviation, peak per-ID violation count, ensemble votes).
@@ -78,32 +77,11 @@ struct DetectorInfo {
   bool trained = false;
 };
 
-/// Serialization interface for backends whose trained state can be
-/// persisted to a model::ModelBundle section and restored without a
-/// training pass. Reached through DetectorBackend::trainable() — backends
-/// with no durable trained state (or none yet, e.g. a still-calibrating
-/// baseline) are simply not trainable at that moment.
-class TrainableBackend {
- public:
-  virtual ~TrainableBackend() = default;
-
-  /// Canonical bundle-section name this backend's model persists under
-  /// (model::kGoldenSection et al. — one section per model kind, shared by
-  /// every instance of the backend).
-  [[nodiscard]] virtual std::string_view model_section() const noexcept = 0;
-
-  /// Serialize the trained model. Throws std::runtime_error when the
-  /// backend holds no trained model yet (self-calibration not finished).
-  virtual void export_model(std::ostream& out) const = 0;
-
-  /// Replace the trained model with a previously exported one. Runtime
-  /// window state restarts pristine; accumulated counters are kept. Throws
-  /// std::runtime_error on a malformed stream.
-  virtual void import_model(std::istream& in) = 0;
-};
-
-/// The hot-reload model set under its older name; backends outside src/
-/// (perfbench's ClockedBackend) still override rebind_models with it.
+/// Names that only perfbench (its ClockedBackend pass-through) still uses.
+/// Trained state persists through model::pack/unpack alone, so no backend
+/// implements TrainableBackend and trainable() is always nullptr; the hot-
+/// reload model set is model::StoredModels under its older name.
+class TrainableBackend;
 using ModelRefs = model::StoredModels;
 
 /// Polymorphic detector: feed timestamped identifiers, receive window
@@ -112,15 +90,9 @@ class DetectorBackend {
  public:
   virtual ~DetectorBackend() = default;
 
-  /// The serialization interface, when this backend's trained state is
-  /// persistable (nullptr otherwise — the default). Composite backends
-  /// (ensemble) return nullptr: their members' models persist individually
-  /// through the model store.
+  /// Always nullptr; kept for perfbench (see TrainableBackend above).
   [[nodiscard]] virtual TrainableBackend* trainable() noexcept {
     return nullptr;
-  }
-  [[nodiscard]] const TrainableBackend* trainable() const noexcept {
-    return const_cast<DetectorBackend*>(this)->trainable();
   }
 
   /// Feed one frame. Returns the verdict of a window this frame closed, if
@@ -142,10 +114,10 @@ class DetectorBackend {
   }
 
   /// Hot-swap shared trained models IN PLACE — the unit the live fleet
-  /// service swaps on SIGHUP, each backend taking its slice. Unlike
-  /// TrainableBackend::import_model (a cold restart), the open window's
-  /// accumulated state, the window clock, and all counters are kept — only
-  /// the immutable model the next window close is judged against changes.
+  /// service swaps on SIGHUP, each backend taking its slice. The open
+  /// window's accumulated state, the window clock, and all counters are
+  /// kept — only the immutable model the next window close is judged
+  /// against changes.
   /// Adopting the models a backend is already using is therefore a strict
   /// no-op for detectors whose models are consulted only at window close
   /// (bit-entropy, symbol-entropy) — the invariant the live service's

@@ -1,9 +1,6 @@
 #include "analysis/registry.h"
 
-#include <algorithm>
 #include <utility>
-
-#include "ids/bit_counters.h"
 
 namespace canids::analysis {
 
@@ -74,51 +71,40 @@ void DetectorOptions::adopt_models(const model::StoredModels& models) {
   if (models.interval) interval_model = models.interval;
 }
 
-DetectorRegistry& DetectorRegistry::instance() {
-  static DetectorRegistry* registry = [] {
-    auto* built = new DetectorRegistry();
-    built->add(meta("bit-entropy", "Wang, Lu & Qu (SOCC 2018) — this paper",
-                    "O(1): 11 bit + 55 pair counters", true),
-               make_bit_entropy);
-    built->add(meta("symbol-entropy", "Muter & Asaj (IV 2011) [8]",
-                    "O(#IDs): one counter per identifier", false),
-               make_symbol_entropy);
-    built->add(meta("interval", "Song, Kim & Kim (ICOIN 2016) [11]",
-                    "O(#IDs): learned period per identifier", false),
-               make_interval);
-    built->add(meta("ensemble", "composition over registered detectors",
-                    "sum of members", true),
-               make_ensemble);
-    return built;
-  }();
-  return *registry;
+DetectorRegistry::DetectorRegistry()
+    : entries_{
+          {meta("bit-entropy", "Wang, Lu & Qu (SOCC 2018) — this paper",
+                "O(1): 11 bit + 55 pair counters", true),
+           make_bit_entropy},
+          {meta("symbol-entropy", "Muter & Asaj (IV 2011) [8]",
+                "O(#IDs): one counter per identifier", false),
+           make_symbol_entropy},
+          {meta("interval", "Song, Kim & Kim (ICOIN 2016) [11]",
+                "O(#IDs): learned period per identifier", false),
+           make_interval},
+          {meta("ensemble", "composition over registered detectors",
+                "sum of members", true),
+           make_ensemble},
+      } {}
+
+const DetectorRegistry& DetectorRegistry::instance() {
+  static const DetectorRegistry registry;
+  return registry;
 }
 
-void DetectorRegistry::add(DetectorInfo info, Factory factory) {
-  if (info.name.empty()) {
-    throw std::invalid_argument("detector name must not be empty");
-  }
-  if (!factory) {
-    throw std::invalid_argument("detector factory must not be empty");
-  }
-  const std::lock_guard<std::mutex> lock(mutex_);
+const DetectorRegistry::Entry* DetectorRegistry::find(
+    std::string_view name) const {
   for (const Entry& entry : entries_) {
-    if (entry.info.name == info.name) {
-      throw std::invalid_argument("detector '" + info.name +
-                                  "' is already registered");
-    }
+    if (entry.info.name == name) return &entry;
   }
-  entries_.push_back(Entry{std::move(info), std::move(factory)});
+  return nullptr;
 }
 
 bool DetectorRegistry::contains(std::string_view name) const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return std::any_of(entries_.begin(), entries_.end(),
-                     [&](const Entry& e) { return e.info.name == name; });
+  return find(name) != nullptr;
 }
 
 std::vector<std::string> DetectorRegistry::names() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
   std::vector<std::string> out;
   out.reserve(entries_.size());
   for (const Entry& entry : entries_) out.push_back(entry.info.name);
@@ -126,7 +112,6 @@ std::vector<std::string> DetectorRegistry::names() const {
 }
 
 std::vector<DetectorInfo> DetectorRegistry::list() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
   std::vector<DetectorInfo> out;
   out.reserve(entries_.size());
   for (const Entry& entry : entries_) out.push_back(entry.info);
@@ -135,24 +120,14 @@ std::vector<DetectorInfo> DetectorRegistry::list() const {
 
 std::unique_ptr<DetectorBackend> DetectorRegistry::make(
     std::string_view name, const DetectorOptions& options) const {
-  Factory factory;
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    for (const Entry& entry : entries_) {
-      if (entry.info.name == name) {
-        factory = entry.factory;
-        break;
-      }
-    }
-  }
-  if (!factory) {
+  const Entry* entry = find(name);
+  if (!entry) {
     std::string message = "unknown detector '" + std::string(name) +
                           "'; registered detectors:";
-    for (const std::string& known : names()) message += " " + known;
+    for (const Entry& known : entries_) message += " " + known.info.name;
     throw UnknownDetectorError(message);
   }
-  // Invoked outside the lock so the ensemble factory can recurse.
-  return factory(options);
+  return entry->factory(options);
 }
 
 std::unique_ptr<DetectorBackend> make_detector(std::string_view name,

@@ -2,15 +2,13 @@
 //
 //   auto backend = analysis::make_detector("interval", options);
 //
-// Built-in backends (bit-entropy, symbol-entropy, interval, ensemble) are
-// registered on first use; library users can add their own factories and
-// they become available everywhere a detector name is accepted — the CLI's
-// --detector flag, the fleet engine, and the experiment harness.
+// The registry is the fixed set of four built-in backends (bit-entropy,
+// symbol-entropy, interval, ensemble); every place a detector name is
+// accepted — the CLI's --detector flag, the fleet engine, the campaign
+// runner, and the experiment harness — resolves it here.
 #pragma once
 
-#include <functional>
 #include <memory>
-#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -69,25 +67,13 @@ class UnknownDetectorError : public std::invalid_argument {
 
 class DetectorRegistry {
  public:
-  using Factory =
-      std::function<std::unique_ptr<DetectorBackend>(const DetectorOptions&)>;
-
-  struct Entry {
-    DetectorInfo info;  ///< static metadata (state_bytes/trained unset)
-    Factory factory;
-  };
-
-  /// The process-wide registry, with the four built-ins pre-registered.
-  [[nodiscard]] static DetectorRegistry& instance();
-
-  /// Register a backend. Throws std::invalid_argument on a duplicate or
-  /// empty name.
-  void add(DetectorInfo info, Factory factory);
+  /// The process-wide registry of the four built-ins.
+  [[nodiscard]] static const DetectorRegistry& instance();
 
   [[nodiscard]] bool contains(std::string_view name) const;
-  /// Registered names in registration order (built-ins first).
+  /// Registered names in a fixed order.
   [[nodiscard]] std::vector<std::string> names() const;
-  /// Static metadata of every registered backend, registration order.
+  /// Static metadata of every registered backend, same order as names().
   [[nodiscard]] std::vector<DetectorInfo> list() const;
 
   /// Construct a backend. Throws UnknownDetectorError for unknown names
@@ -97,9 +83,16 @@ class DetectorRegistry {
       std::string_view name, const DetectorOptions& options) const;
 
  private:
-  DetectorRegistry() = default;
+  using Factory = std::unique_ptr<DetectorBackend> (*)(const DetectorOptions&);
 
-  mutable std::mutex mutex_;
+  struct Entry {
+    DetectorInfo info;  ///< static metadata (state_bytes/trained unset)
+    Factory factory;
+  };
+
+  DetectorRegistry();
+  [[nodiscard]] const Entry* find(std::string_view name) const;
+
   std::vector<Entry> entries_;
 };
 

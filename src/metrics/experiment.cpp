@@ -92,8 +92,6 @@ ExperimentRunner::ExperimentRunner(ExperimentConfig config)
     : config_(config), vehicle_(config.vehicle) {
   CANIDS_EXPECTS(config_.training_windows >= 2);
   CANIDS_EXPECTS(config_.attack_duration > 0);
-  CANIDS_EXPECTS(config_.pipeline.window.mode ==
-                 ids::WindowConfig::Mode::kByTime);
 }
 
 const ids::GoldenTemplate& ExperimentRunner::train() {
@@ -407,10 +405,6 @@ ExperimentRunner::BackendModelNeeds ExperimentRunner::backend_model_needs(
   BackendModelNeeds needs;
   needs.muter = name == "symbol-entropy" || name == "ensemble";
   needs.interval = name == "interval" || name == "ensemble";
-  if (name != "bit-entropy" && name != "symbol-entropy" &&
-      name != "interval" && name != "ensemble") {
-    needs.muter = needs.interval = true;
-  }
   return needs;
 }
 
@@ -429,69 +423,6 @@ std::unique_ptr<analysis::DetectorBackend> ExperimentRunner::make_backend(
   options.interval = config_.interval;
   options.adopt_models(models);
   return analysis::make_detector(name, options);
-}
-
-ComparisonTrial ExperimentRunner::run_comparison(std::string_view backend_name,
-                                                 attacks::BuiltAttack attack,
-                                                 double frequency_hz,
-                                                 std::uint64_t vehicle_seed) {
-  ComparisonTrial trial;
-  trial.backend = std::string(backend_name);
-  trial.kind = attack.kind;
-  trial.frequency_hz = frequency_hz;
-  trial.planned_ids = attack.planned_ids;
-
-  can::BusSimulator bus(config_.vehicle.bus);
-  vehicle_.attach_to(bus, trace::DrivingBehavior::kCity, vehicle_seed);
-  attacks::attach_attack(bus, attack);
-
-  const std::unique_ptr<analysis::DetectorBackend> backend =
-      make_backend(backend_name);
-
-  auto handle = [&](const analysis::WindowVerdict& verdict) {
-    if (verdict.alert && verdict.detail && !trial.planned_ids.empty()) {
-      trial.best_inference_hit = std::max(
-          trial.best_inference_hit,
-          ids::inference_hit_fraction(trial.planned_ids,
-                                      verdict.detail->ranked_candidates));
-    }
-  };
-  bus.add_listener([&](const can::TimedFrame& frame) {
-    if (auto verdict = backend->on_frame(frame.timestamp, frame.frame.id())) {
-      handle(*verdict);
-    }
-  });
-  bus.run_until(config_.comparison_duration);
-  if (auto verdict = backend->finish()) handle(*verdict);
-
-  trial.counters = backend->counters();
-  trial.windows = trial.counters.windows_closed;
-  trial.evaluated = trial.counters.windows_evaluated;
-  trial.alerts = trial.counters.alerts;
-  trial.state_bytes = backend->describe().state_bytes;
-  return trial;
-}
-
-ComparisonTrial ExperimentRunner::run_trial_with(
-    std::string_view backend, attacks::ScenarioKind kind, double frequency_hz,
-    std::uint64_t vehicle_seed, std::optional<std::uint64_t> attack_seed) {
-  attacks::AttackConfig attack_config;
-  attack_config.frequency_hz = frequency_hz;
-  util::Rng rng(attack_seed.value_or(vehicle_seed));
-  return run_comparison(
-      backend, attacks::make_scenario(kind, vehicle_, attack_config, rng),
-      frequency_hz, vehicle_seed);
-}
-
-ComparisonTrial ExperimentRunner::run_single_id_trial_with(
-    std::string_view backend, std::uint32_t id, double frequency_hz,
-    std::uint64_t vehicle_seed, std::optional<std::uint64_t> attack_seed) {
-  attacks::AttackConfig attack_config;
-  attack_config.frequency_hz = frequency_hz;
-  util::Rng rng(attack_seed.value_or(vehicle_seed));
-  return run_comparison(
-      backend, attacks::make_single_id_attack(attack_config, id, rng),
-      frequency_hz, vehicle_seed);
 }
 
 ScenarioSummary ExperimentRunner::run_scenario(

@@ -36,37 +36,13 @@ struct ExperimentConfig {
   /// Master seed; all per-trial randomness derives from it.
   std::uint64_t seed = 0x5EC0DE;
 
-  /// Baseline-detector knobs for the §V.E comparison trials
-  /// (run_trial_with). The models are trained lazily on clean traffic.
+  /// Baseline-detector knobs for the §V.E comparison trials. The models
+  /// are trained lazily on clean traffic.
   baselines::MuterConfig muter;
   baselines::IntervalConfig interval;
   /// Clean traffic recorded per driving behaviour when training a
   /// baseline model.
   util::TimeNs baseline_training_per_behavior = 6 * util::kSecond;
-  /// Bus time of one comparison trial (the CMP benches use 12 s drives).
-  util::TimeNs comparison_duration = 12 * util::kSecond;
-};
-
-/// Outcome of one head-to-head comparison trial (§V.E): any registered
-/// detector backend over one attacked 12 s city drive. The same
-/// (vehicle_seed, attack_seed) pair replays the identical bus run, so two
-/// backends' ComparisonTrials are directly comparable — the methodology the
-/// CMP benches previously hand-rolled per baseline.
-struct ComparisonTrial {
-  std::string backend;
-  attacks::ScenarioKind kind{};
-  double frequency_hz = 0.0;
-  std::vector<std::uint32_t> planned_ids;
-
-  std::uint64_t windows = 0;    ///< closed windows (counters.windows_closed)
-  std::uint64_t evaluated = 0;  ///< judged windows
-  std::uint64_t alerts = 0;     ///< alerting windows
-  /// Best inference hit fraction over alerting windows (0 for backends
-  /// without malicious-ID inference).
-  double best_inference_hit = 0.0;
-  /// Live monitoring-state footprint after the run (the storage argument).
-  std::size_t state_bytes = 0;
-  ids::PipelineCounters counters;
 };
 
 /// One closed window as an instrumented trial observed it — enough to
@@ -166,7 +142,7 @@ class ExperimentRunner {
   /// windows spread evenly over all driving behaviours.
   [[nodiscard]] const ids::GoldenTemplate& train();
 
-  /// Same template as a shareable immutable handle; every trial pipeline
+  /// Same template as a shareable immutable handle; every trial backend
   /// (and any fleet engine built on this runner) references it copy-free.
   [[nodiscard]] std::shared_ptr<const ids::GoldenTemplate> train_shared();
 
@@ -202,7 +178,7 @@ class ExperimentRunner {
       attacks::ScenarioKind kind, const std::vector<double>& frequencies,
       int trials_per_frequency);
 
-  // ---- unified detector-backend trials (§V.E comparisons) -----------------
+  // ---- detector backends and baseline models (§V.E comparisons) ----------
 
   /// Whole-distribution entropy baseline trained on clean traffic from
   /// every driving behaviour (lazily built, then shared).
@@ -214,9 +190,7 @@ class ExperimentRunner {
   interval_model();
 
   /// Which lazily-trained baseline models a backend name consumes — the
-  /// single gating rule shared by make_backend and by campaign training
-  /// (unknown custom names get everything, since their factories may read
-  /// any slice).
+  /// single gating rule shared by make_backend and by campaign training.
   struct BackendModelNeeds {
     bool muter = false;
     bool interval = false;
@@ -229,22 +203,6 @@ class ExperimentRunner {
   /// consumes (trained on first use).
   [[nodiscard]] std::unique_ptr<analysis::DetectorBackend> make_backend(
       std::string_view name);
-
-  /// One comparison trial: `backend` over a city drive with the given
-  /// attack scenario injected for the whole run. `attack_seed` defaults to
-  /// `vehicle_seed`; passing the same pair to two backends replays the
-  /// identical traffic.
-  [[nodiscard]] ComparisonTrial run_trial_with(
-      std::string_view backend, attacks::ScenarioKind kind,
-      double frequency_hz, std::uint64_t vehicle_seed,
-      std::optional<std::uint64_t> attack_seed = std::nullopt);
-
-  /// Comparison trial with a caller-chosen injected identifier (the
-  /// unseen-ID blind-spot experiment).
-  [[nodiscard]] ComparisonTrial run_single_id_trial_with(
-      std::string_view backend, std::uint32_t id, double frequency_hz,
-      std::uint64_t vehicle_seed,
-      std::optional<std::uint64_t> attack_seed = std::nullopt);
 
   // ---- attack trials --------------------------------------------------------
 
@@ -284,11 +242,6 @@ class ExperimentRunner {
   [[nodiscard]] InstrumentedTrial run_instrumented_attack(
       std::string_view backend, attacks::BuiltAttack attack,
       double frequency_hz, std::uint64_t trial_seed);
-
-  [[nodiscard]] ComparisonTrial run_comparison(std::string_view backend,
-                                               attacks::BuiltAttack attack,
-                                               double frequency_hz,
-                                               std::uint64_t vehicle_seed);
 
   ExperimentConfig config_;
   trace::SyntheticVehicle vehicle_;

@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <sstream>
 #include <stdexcept>
 #include <vector>
 
@@ -125,6 +124,42 @@ TEST(BitEntropyBackendTest, AlertsCarryBitsAndCandidates) {
     EXPECT_FALSE(verdict.detail->ranked_candidates.empty());
     EXPECT_GT(verdict.metric, verdict.threshold);
   }
+}
+
+TEST(BitEntropyBackendTest, InferenceOffAlertsWithBitsButNoCandidates) {
+  const BackendWorld world;
+  DetectorOptions options = world.options();
+  options.pipeline.infer_on_alert = false;  // the pool stays non-empty
+  const auto backend = make_detector("bit-entropy", options);
+  EXPECT_FALSE(backend->describe().supports_inference);
+
+  const auto verdicts = run_backend(*backend, world.make_trace(2, 6, {2, 3}));
+  ASSERT_GT(alert_count(verdicts), 0u);
+  for (const WindowVerdict& verdict : verdicts) {
+    if (!verdict.alert) continue;
+    ASSERT_TRUE(verdict.detail.has_value());
+    EXPECT_FALSE(verdict.detail->alerted_bits.empty());
+    EXPECT_TRUE(verdict.detail->ranked_candidates.empty());
+  }
+}
+
+TEST(BitEntropyBackendTest, FinishJudgesTheHalfFilledWindow) {
+  const BackendWorld world;
+  const auto backend = make_detector("bit-entropy", world.options());
+  // 100 frames over the first half of a 1 s window: nothing closes it.
+  for (int i = 0; i < 100; ++i) {
+    ASSERT_FALSE(backend
+                     ->on_frame(static_cast<util::TimeNs>(i) * 5 *
+                                    util::kMillisecond,
+                                can::CanId::standard(world.pool[i % 10]))
+                     .has_value());
+  }
+  const auto verdict = backend->finish();
+  ASSERT_TRUE(verdict.has_value());
+  EXPECT_EQ(verdict->start, 0);
+  EXPECT_EQ(verdict->frames, 100u);
+  EXPECT_EQ(backend->counters().windows_closed, 1u);
+  EXPECT_FALSE(backend->finish().has_value());
 }
 
 TEST(BitEntropyBackendTest, ExtendedFramesAreDroppedNotMiscounted) {
@@ -301,73 +336,6 @@ TEST(EnsembleDetectorTest, StaysAlignedWhenBitMemberDropsFrames) {
   EXPECT_EQ(backend->counters().windows_closed, verdicts.size());
   // The bit member's drops are surfaced through the ensemble's counters.
   EXPECT_GT(backend->counters().dropped_frames, 0u);
-}
-
-TEST(TrainableBackendTest, SingleBackendsAreTrainableEnsembleIsNot) {
-  const BackendWorld world;
-  for (const char* name : {"bit-entropy", "symbol-entropy", "interval"}) {
-    const auto backend = make_detector(name, world.options(2));
-    EXPECT_NE(backend->trainable(), nullptr) << name;
-  }
-  // The ensemble's members persist individually through the model store.
-  const auto ensemble = make_detector("ensemble", world.options(2));
-  EXPECT_EQ(ensemble->trainable(), nullptr);
-}
-
-TEST(TrainableBackendTest, ExportImportRoundTripsEveryModelKind) {
-  const BackendWorld world;
-  const auto clean = world.make_trace(3, 4);
-  const auto probe = world.make_trace(11, 6, {2, 4});
-  for (const char* name : {"bit-entropy", "symbol-entropy", "interval"}) {
-    // Donor: pretrained (bit-entropy) or self-calibrated on clean traffic.
-    const auto donor = make_detector(name, world.options(2));
-    (void)run_backend(*donor, clean);
-    ASSERT_NE(donor->trainable(), nullptr) << name;
-    std::ostringstream exported;
-    donor->trainable()->export_model(exported);
-
-    // Receiver: a fresh backend with NO pretrained model. Importing must
-    // hand it the donor's exact model (byte-identical re-export) as shared
-    // pretrained state — clones inherit it and judge in lockstep.
-    DetectorOptions blank = world.options(2);
-    blank.muter_model = nullptr;
-    blank.interval_model = nullptr;
-    const auto receiver = make_detector(name, blank);
-    std::istringstream in(exported.str());
-    receiver->trainable()->import_model(in);
-
-    std::ostringstream reexported;
-    receiver->trainable()->export_model(reexported);
-    EXPECT_EQ(reexported.str(), exported.str()) << name;
-
-    const auto sibling = receiver->clone_for_stream();
-    const auto actual = run_backend(*receiver, probe);
-    const auto expected = run_backend(*sibling, probe);
-    ASSERT_EQ(actual.size(), expected.size()) << name;
-    for (std::size_t i = 0; i < expected.size(); ++i) {
-      EXPECT_EQ(actual[i], expected[i]) << name << " window " << i;
-    }
-    // The imported model is live from the very first window: no verdict is
-    // a calibration placeholder, and the injected bursts are caught.
-    ASSERT_FALSE(actual.empty()) << name;
-    for (const WindowVerdict& verdict : actual) {
-      EXPECT_TRUE(verdict.evaluated) << name;
-    }
-    EXPECT_GT(alert_count(actual), 0u) << name;
-  }
-}
-
-TEST(TrainableBackendTest, ExportBeforeCalibrationThrows) {
-  const BackendWorld world;
-  DetectorOptions blank = world.options(4);
-  blank.muter_model = nullptr;
-  blank.interval_model = nullptr;
-  for (const char* name : {"symbol-entropy", "interval"}) {
-    const auto backend = make_detector(name, blank);
-    std::ostringstream out;
-    EXPECT_THROW(backend->trainable()->export_model(out), std::runtime_error)
-        << name;
-  }
 }
 
 /// Run a backend over frames through on_frames in `chunk`-sized blocks.

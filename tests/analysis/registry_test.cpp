@@ -94,27 +94,5 @@ TEST(DetectorRegistryTest, EnsembleRejectsSelfReference) {
                std::invalid_argument);
 }
 
-TEST(DetectorRegistryTest, CustomBackendsCanRegisterAndConstruct) {
-  DetectorInfo info;
-  info.name = "custom-test-backend";
-  info.paper = "registry_test.cpp";
-  info.state_growth = "O(1)";
-  // Piggyback on the symbol backend so the factory stays tiny.
-  auto factory = [](const DetectorOptions& options) {
-    return std::make_unique<SymbolEntropyBackend>(
-        options.muter_model, options.muter, options.pipeline.window.duration,
-        options.calibration_windows);
-  };
-  DetectorRegistry::instance().add(info, factory);
-  EXPECT_TRUE(DetectorRegistry::instance().contains("custom-test-backend"));
-  const std::unique_ptr<DetectorBackend> backend =
-      make_detector("custom-test-backend", options_with_template());
-  ASSERT_NE(backend, nullptr);
-
-  // Duplicate registration is rejected loudly.
-  EXPECT_THROW(DetectorRegistry::instance().add(info, factory),
-               std::invalid_argument);
-}
-
 }  // namespace
 }  // namespace canids::analysis

@@ -25,13 +25,12 @@ using ids::BitCounters;
 using ids::GoldenTemplate;
 using ids::PipelineConfig;
 using ids::TemplateBuilder;
-using ids::WindowConfig;
 using ids::WindowSnapshot;
 using util::kSecond;
 
 /// Fleet fixture: one shared template, per-vehicle deterministic frame
 /// streams (clean mix plus optional injected bursts), mirroring the
-/// pipeline_test world but as materialized TimedFrame sequences.
+/// backend_test world.
 struct FleetWorld {
   std::vector<std::uint32_t> pool = {0x080, 0x120, 0x1C0, 0x260, 0x300,
                                      0x3A0, 0x440, 0x4E0, 0x580, 0x620};
@@ -92,7 +91,6 @@ struct FleetWorld {
 
   [[nodiscard]] PipelineConfig pipeline_config() const {
     PipelineConfig config;
-    config.window.mode = WindowConfig::Mode::kByTime;
     config.window.duration = kSecond;
     return config;
   }
@@ -399,12 +397,12 @@ TEST(FleetEngineTest, TinyQueueAndDrainBatchStillMatchSequential) {
   const FleetWorld world;
   const std::vector<can::TimedFrame> frames = world.make_trace(51, 4, {2});
 
-  ids::IdsPipeline sequential(world.golden, {}, world.pipeline_config());
+  const auto sequential = world.bit_entropy();
   for (const can::TimedFrame& frame : frames) {
-    (void)sequential.on_frame(frame.timestamp, frame.frame.id());
+    (void)sequential->on_frame(frame.timestamp, frame.frame.id());
   }
-  (void)sequential.finish();
-  const std::uint64_t expected_alerts = sequential.counters().alerts;
+  (void)sequential->finish();
+  const std::uint64_t expected_alerts = sequential->counters().alerts;
 
   FleetConfig config;
   config.shards = 2;

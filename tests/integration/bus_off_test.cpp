@@ -4,8 +4,8 @@
 // single frame was injected.
 #include <gtest/gtest.h>
 
+#include "analysis/backends.h"
 #include "attacks/bus_off.h"
-#include "ids/pipeline.h"
 #include "metrics/experiment.h"
 
 namespace canids {
@@ -119,13 +119,13 @@ TEST(BusOffAttackTest, EntropyIdsDetectsSuppression) {
   auto state = std::make_shared<attacks::BusOffState>();
   bus.set_fault_hook(attacks::make_bus_off_fault(attack, state));
 
-  ids::IdsPipeline pipeline(golden, vehicle.id_pool(), {});
+  analysis::BitEntropyBackend backend(golden, vehicle.id_pool());
   std::uint64_t alerts_before = 0;
   std::uint64_t alerts_after = 0;
   bus.add_listener([&](const can::TimedFrame& frame) {
-    if (auto report = pipeline.on_frame(frame.timestamp, frame.frame.id())) {
-      if (!report->detection.alert) return;
-      if (report->snapshot.start < attack.start) {
+    if (auto verdict = backend.on_frame(frame.timestamp, frame.frame.id())) {
+      if (!verdict->alert) return;
+      if (verdict->start < attack.start) {
         ++alerts_before;
       } else {
         ++alerts_after;

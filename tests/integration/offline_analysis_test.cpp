@@ -6,8 +6,8 @@
 #include <memory>
 #include <sstream>
 
+#include "analysis/backends.h"
 #include "attacks/scenario.h"
-#include "ids/pipeline.h"
 #include "trace/candump.h"
 #include "trace/trace_io.h"
 #include "trace/vspy_csv.h"
@@ -22,7 +22,6 @@ TEST(OfflineAnalysisTest, CandumpRoundTripDetection) {
 
   // --- Train from clean captures -------------------------------------------
   ids::WindowConfig window;
-  window.mode = ids::WindowConfig::Mode::kByTime;
   window.duration = kSecond;
   ids::TemplateBuilder builder;
   for (std::uint64_t seed = 0; seed < 4; ++seed) {
@@ -63,23 +62,22 @@ TEST(OfflineAnalysisTest, CandumpRoundTripDetection) {
 
   ids::PipelineConfig pipeline_config;
   pipeline_config.window = window;
-  ids::IdsPipeline pipeline(golden, vehicle.id_pool(), pipeline_config);
+  analysis::BitEntropyBackend backend(golden, vehicle.id_pool(),
+                                      pipeline_config);
 
   std::uint64_t alerts = 0;
   double best_hit = 0.0;
   for (const trace::LogRecord& record : parsed) {
-    if (auto report = pipeline.on_frame(record.timestamp, record.frame.id())) {
-      if (report->detection.alert) {
+    if (auto verdict = backend.on_frame(record.timestamp, record.frame.id())) {
+      if (verdict->alert) {
         ++alerts;
-        if (report->inference) {
-          best_hit = std::max(
-              best_hit, ids::inference_hit_fraction(
-                            true_ids, report->inference->ranked_candidates));
-        }
+        best_hit = std::max(
+            best_hit, ids::inference_hit_fraction(
+                          true_ids, verdict->detail->ranked_candidates));
       }
     }
   }
-  if (auto report = pipeline.finish(); report && report->detection.alert) {
+  if (auto verdict = backend.finish(); verdict && verdict->alert) {
     ++alerts;
   }
 
