@@ -354,19 +354,9 @@ std::unique_ptr<DetectorBackend> IntervalBackend::clone_for_stream(
 
 // ---- EnsembleDetector -------------------------------------------------------
 
-std::string_view ensemble_policy_name(EnsemblePolicy policy) {
-  switch (policy) {
-    case EnsemblePolicy::kVote: return "vote";
-    case EnsemblePolicy::kAny: return "any";
-    case EnsemblePolicy::kAll: return "all";
-  }
-  return "?";
-}
-
 EnsembleDetector::EnsembleDetector(
-    std::vector<std::unique_ptr<DetectorBackend>> members,
-    EnsemblePolicy policy)
-    : members_(std::move(members)), policy_(policy) {
+    std::vector<std::unique_ptr<DetectorBackend>> members)
+    : members_(std::move(members)) {
   CANIDS_EXPECTS_MSG(!members_.empty(),
                      "an ensemble needs at least one member detector");
   for (const auto& member : members_) CANIDS_EXPECTS(member != nullptr);
@@ -401,12 +391,7 @@ WindowVerdict EnsembleDetector::combine(
     }
   }
 
-  std::size_t quorum = 1;
-  switch (policy_) {
-    case EnsemblePolicy::kAny: quorum = 1; break;
-    case EnsemblePolicy::kAll: quorum = std::max<std::size_t>(evaluated, 1); break;
-    case EnsemblePolicy::kVote: quorum = evaluated / 2 + 1; break;
-  }
+  const std::size_t quorum = evaluated / 2 + 1;
   verdict.evaluated = evaluated > 0;
   verdict.metric = static_cast<double>(votes);
   verdict.threshold = static_cast<double>(quorum);
@@ -463,9 +448,8 @@ DetectorInfo EnsembleDetector::describe() const {
   DetectorInfo info;
   info.name = "ensemble";
   info.paper = "composition over registered detectors";
-  info.state_growth = "sum of members (" +
-                      std::string(ensemble_policy_name(policy_)) + " of " +
-                      std::to_string(members_.size()) + ")";
+  info.state_growth =
+      "sum of members (vote of " + std::to_string(members_.size()) + ")";
   info.trained = true;
   for (const auto& member : members_) {
     const DetectorInfo member_info = member->describe();
@@ -483,7 +467,7 @@ std::unique_ptr<DetectorBackend> EnsembleDetector::clone_for_stream(
   for (const auto& member : members_) {
     clones.push_back(member->clone_for_stream(id_pool));
   }
-  return std::make_unique<EnsembleDetector>(std::move(clones), policy_);
+  return std::make_unique<EnsembleDetector>(std::move(clones));
 }
 
 }  // namespace canids::analysis

@@ -7,9 +7,9 @@
 //                            MuterEntropyIds).
 //   * IntervalBackend      — Song et al. [11] message-interval IDS (wraps
 //                            IntervalIds, adds the windowing it lacked).
-//   * EnsembleDetector     — vote/any/all composition over member backends;
-//                            the first consumer the old per-detector APIs
-//                            could not express.
+//   * EnsembleDetector     — majority vote over the three single
+//                            backends; the first consumer the old
+//                            per-detector APIs could not express.
 //
 // The baselines support two trained-state modes: a pre-trained immutable
 // model shared across clones (the experiment harness trains one), or
@@ -152,22 +152,13 @@ class IntervalBackend final : public DetectorBackend {
   ids::PipelineCounters counters_;
 };
 
-/// How EnsembleDetector combines member verdicts.
-enum class EnsemblePolicy : std::uint8_t {
-  kVote,  ///< majority of the evaluated members
-  kAny,   ///< at least one evaluated member
-  kAll,   ///< every evaluated member
-};
-
-[[nodiscard]] std::string_view ensemble_policy_name(EnsemblePolicy policy);
-
-/// Runs every member over the same frames and composes their window
-/// verdicts. Members must share one window duration so their windows close
-/// on the same frames (the registry guarantees this).
+/// Runs every member over the same frames and alerts when a majority of
+/// the evaluated members alert. Members must share one window duration so
+/// their windows close on the same frames (the registry guarantees this).
 class EnsembleDetector final : public DetectorBackend {
  public:
-  EnsembleDetector(std::vector<std::unique_ptr<DetectorBackend>> members,
-                   EnsemblePolicy policy);
+  explicit EnsembleDetector(
+      std::vector<std::unique_ptr<DetectorBackend>> members);
 
   std::optional<WindowVerdict> on_frame(util::TimeNs timestamp,
                                         const can::CanId& id) override;
@@ -183,17 +174,11 @@ class EnsembleDetector final : public DetectorBackend {
   [[nodiscard]] std::unique_ptr<DetectorBackend> clone_for_stream(
       std::vector<std::uint32_t> id_pool = {}) const override;
 
-  [[nodiscard]] std::size_t member_count() const noexcept {
-    return members_.size();
-  }
-  [[nodiscard]] EnsemblePolicy policy() const noexcept { return policy_; }
-
  private:
   [[nodiscard]] WindowVerdict combine(
       const std::vector<std::pair<std::string, WindowVerdict>>& emitted);
 
   std::vector<std::unique_ptr<DetectorBackend>> members_;
-  EnsemblePolicy policy_;
   ids::PipelineCounters counters_;
 };
 

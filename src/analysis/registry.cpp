@@ -34,22 +34,11 @@ namespace {
 
 [[nodiscard]] std::unique_ptr<DetectorBackend> make_ensemble(
     const DetectorOptions& options) {
-  if (options.ensemble_members.empty()) {
-    throw std::invalid_argument(
-        "detector 'ensemble' requires at least one member name "
-        "(DetectorOptions::ensemble_members)");
-  }
   std::vector<std::unique_ptr<DetectorBackend>> members;
-  members.reserve(options.ensemble_members.size());
-  for (const std::string& member : options.ensemble_members) {
-    if (member == "ensemble") {
-      throw std::invalid_argument(
-          "detector 'ensemble' cannot contain itself as a member");
-    }
-    members.push_back(DetectorRegistry::instance().make(member, options));
-  }
-  return std::make_unique<EnsembleDetector>(std::move(members),
-                                            options.ensemble_policy);
+  members.push_back(make_bit_entropy(options));
+  members.push_back(make_symbol_entropy(options));
+  members.push_back(make_interval(options));
+  return std::make_unique<EnsembleDetector>(std::move(members));
 }
 
 [[nodiscard]] DetectorInfo meta(std::string name, std::string paper,

@@ -46,12 +46,6 @@ struct DetectorOptions {
   std::shared_ptr<const baselines::IntervalIds> interval_model;
   std::size_t calibration_windows = 10;
 
-  // -- ensemble -------------------------------------------------------------
-  /// Member detector names; must not include "ensemble" itself.
-  std::vector<std::string> ensemble_members = {"bit-entropy", "symbol-entropy",
-                                               "interval"};
-  EnsemblePolicy ensemble_policy = EnsemblePolicy::kVote;
-
   /// Point the model slots at every model `models` carries; null entries
   /// leave their slot alone, so a baseline the set lacks self-calibrates.
   /// The one overlay from a loaded or trained model set onto options.

@@ -12,6 +12,31 @@ namespace canids::ids {
 
 namespace {
 
+/// A bit constrains candidates when |delta p_i| exceeds
+/// max(kNoiseMultiplier * probability_range_i, kMinProbabilityShift).
+constexpr double kNoiseMultiplier = 3.0;
+constexpr double kMinProbabilityShift = 0.004;
+/// Beam width of the multi-ID set search.
+constexpr int kBeamWidth = 96;
+/// Largest injected-set size considered (Table I tests up to 4).
+constexpr int kMaxInjectedIds = 4;
+/// Size of the reduced candidate pool fed to the beam search.
+constexpr int kSearchPool = 96;
+/// How many of the best hypotheses per set size feed the marginal-evidence
+/// ranking.
+constexpr int kSetsPerSizeRanked = 12;
+/// Upper bound for the injected-traffic fraction lambda.
+constexpr double kLambdaMax = 0.75;
+/// Complexity penalty added per extra injected ID when estimating the set
+/// size (keeps the fit from always preferring larger sets).
+constexpr double kSizePenalty = 2e-4;
+
+// The active-set solver uses fixed 4x5 scratch; Table I also tops out at
+// four injected identifiers.
+static_assert(kBeamWidth > 0 && kMaxInjectedIds >= 1 &&
+              kMaxInjectedIds <= 4 && kSearchPool >= kMaxInjectedIds &&
+              kLambdaMax > 0.0);
+
 /// Bit i (MSB-first) of a standard identifier as a double in {0,1}.
 [[nodiscard]] double id_bit(std::uint32_t id, int bit, int width) noexcept {
   return static_cast<double>((id >> (width - 1 - bit)) & 1u);
@@ -37,13 +62,6 @@ InferenceEngine::InferenceEngine(std::shared_ptr<const GoldenTemplate> golden,
   CANIDS_EXPECTS(golden_ != nullptr);
   CANIDS_EXPECTS(!id_pool_.empty());
   CANIDS_EXPECTS(config_.rank > 0);
-  CANIDS_EXPECTS(config_.beam_width > 0);
-  // The active-set solver uses fixed 4x5 scratch; Table I also tops out at
-  // four injected identifiers.
-  CANIDS_EXPECTS(config_.max_injected_ids >= 1 &&
-                 config_.max_injected_ids <= 4);
-  CANIDS_EXPECTS(config_.search_pool >= config_.max_injected_ids);
-  CANIDS_EXPECTS(config_.lambda_max > 0.0);
   std::sort(id_pool_.begin(), id_pool_.end());
   id_pool_.erase(std::unique(id_pool_.begin(), id_pool_.end()),
                  id_pool_.end());
@@ -86,8 +104,8 @@ std::vector<BitConstraint> InferenceEngine::derive_constraints(
   for (int i = 0; i < golden_->width; ++i) {
     const auto b = static_cast<std::size_t>(i);
     const double noise =
-        std::max(config_.noise_multiplier * golden_->probability_range(i),
-                 config_.min_probability_shift);
+        std::max(kNoiseMultiplier * golden_->probability_range(i),
+                 kMinProbabilityShift);
     if (std::abs(delta_p[b]) > noise) {
       constraints.push_back(BitConstraint{i, delta_p[b] > 0.0, delta_p[b]});
     }
@@ -226,10 +244,10 @@ InferenceResult InferenceEngine::infer(const WindowSnapshot& window) const {
 
     double total = 0.0;
     for (double weight : w) total += weight;
-    if (total > config_.lambda_max && total > 0.0) {
-      const double scale = config_.lambda_max / total;
+    if (total > kLambdaMax && total > 0.0) {
+      const double scale = kLambdaMax / total;
       for (double& weight : w) weight *= scale;
-      total = config_.lambda_max;
+      total = kLambdaMax;
     }
 
     double residual = 0.0;
@@ -244,7 +262,7 @@ InferenceResult InferenceEngine::infer(const WindowSnapshot& window) const {
     // Members fitted to ~zero weight contribute nothing but still occupy a
     // set slot; penalise them so leaner sets win ties.
     for (std::size_t j = 0; j < k; ++j) {
-      if (w[j] < 1e-4) residual += config_.size_penalty;
+      if (w[j] < 1e-4) residual += kSizePenalty;
     }
     lambda_out = total;
     weights_out = std::move(w);
@@ -255,7 +273,7 @@ InferenceResult InferenceEngine::infer(const WindowSnapshot& window) const {
   // Order every pool ID by how well it explains the shift on its own (the
   // singleton fit uses the pairwise statistics too, unlike the plain
   // alignment score), then keep the strongest plus all constraint-
-  // satisfying candidates, capped at config_.search_pool.
+  // satisfying candidates, capped at kSearchPool.
   std::vector<std::pair<double, std::size_t>> singles;
   singles.reserve(id_pool_.size());
   for (std::size_t n = 0; n < id_pool_.size(); ++n) {
@@ -269,7 +287,7 @@ InferenceResult InferenceEngine::infer(const WindowSnapshot& window) const {
   std::vector<std::size_t> search_pool;
   std::set<std::size_t> in_pool;
   auto add_to_pool = [&](std::size_t n) {
-    if (static_cast<int>(search_pool.size()) >= config_.search_pool) return;
+    if (static_cast<int>(search_pool.size()) >= kSearchPool) return;
     if (in_pool.insert(n).second) search_pool.push_back(n);
   };
   // Constraint-satisfying IDs get priority only when the constraints are
@@ -309,22 +327,22 @@ InferenceResult InferenceEngine::infer(const WindowSnapshot& window) const {
                      [](const Hypothesis& a, const Hypothesis& b) {
                        return a.residual < b.residual;
                      });
-    if (static_cast<int>(hs.size()) > config_.beam_width) {
-      hs.resize(static_cast<std::size_t>(config_.beam_width));
+    if (static_cast<int>(hs.size()) > kBeamWidth) {
+      hs.resize(static_cast<std::size_t>(kBeamWidth));
     }
   };
   auto harvest = [&](const std::vector<Hypothesis>& hs) {
     if (hs.empty()) return;
     best_per_size.push_back(hs.front());
     const auto take = std::min<std::size_t>(
-        hs.size(), static_cast<std::size_t>(config_.sets_per_size_ranked));
+        hs.size(), static_cast<std::size_t>(kSetsPerSizeRanked));
     top_sets.insert(top_sets.end(), hs.begin(),
                     hs.begin() + static_cast<std::ptrdiff_t>(take));
   };
   shrink_beam(beam);
   harvest(beam);
 
-  for (int k = 2; k <= config_.max_injected_ids && !beam.empty(); ++k) {
+  for (int k = 2; k <= kMaxInjectedIds && !beam.empty(); ++k) {
     std::vector<Hypothesis> next;
     for (const Hypothesis& h : beam) {
       for (std::size_t pi = h.last_pool_index + 1; pi < search_pool.size();
@@ -349,7 +367,7 @@ InferenceResult InferenceEngine::infer(const WindowSnapshot& window) const {
     for (std::size_t s = 0; s < best_per_size.size(); ++s) {
       const double score =
           best_per_size[s].residual +
-          config_.size_penalty *
+          kSizePenalty *
               static_cast<double>(best_per_size[s].ids.size());
       if (score < best_score) {
         best_score = score;

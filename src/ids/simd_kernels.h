@@ -35,7 +35,7 @@ using LaneSpillFn = void (*)(const std::uint64_t* lanes, std::uint64_t* ones,
 [[nodiscard]] LaneAddFn lane_add_kernel() noexcept;
 [[nodiscard]] LaneSpillFn lane_spill_kernel() noexcept;
 
-// The individual levels, exposed for the equality tests and bench_ingest.
+// The individual levels, exposed for the equality tests.
 // SSE2 variants exist only in x86 builds; AVX2 variants only when the
 // build compiles them (CANIDS_ENABLE_AVX2) — reach them through the
 // dispatchers above, which never select a missing level.

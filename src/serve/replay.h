@@ -3,7 +3,7 @@
 // candump lines or (--wire binary/auto) as the canidsBT binary record
 // stream — optionally paced by the capture's own timestamps, so CI,
 // benches, and demos can drive the live service with reproducible
-// traffic. Also usable in-process (tests, bench_serve) against any
+// traffic. Also usable in-process (tests, examples) against any
 // SOCK_STREAM address.
 #pragma once
 

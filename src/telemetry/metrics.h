@@ -133,8 +133,8 @@ class Histogram {
 };
 
 /// The latency ladder shared by every *_ns histogram: ~4 buckets per
-/// decade from 1 µs to 1 s. Fixed here so shard snapshots and the
-/// bench_serve sample histogram all merge/compare against one ladder.
+/// decade from 1 µs to 1 s. Fixed here so every shard's snapshot
+/// merges and compares against one ladder.
 [[nodiscard]] std::vector<std::uint64_t> latency_bounds_ns();
 
 /// Power-of-two ladder {1, 2, 4, ..., 2^(count-1)} for size-ish values

@@ -59,8 +59,6 @@ SyntheticVehicle::SyntheticVehicle(VehicleConfig config)
     : config_(config) {
   CANIDS_EXPECTS(config_.period_scale > 0.0);
   CANIDS_EXPECTS(config_.total_ids > kEventIds);
-  CANIDS_EXPECTS(config_.ecu_count > 0 &&
-                 config_.ecu_count <= static_cast<int>(kEcuNames.size()));
   CANIDS_EXPECTS(config_.id_ceiling <= can::kMaxStdId);
   CANIDS_EXPECTS(config_.id_ceiling > config_.id_floor);
   CANIDS_EXPECTS(config_.id_ceiling - config_.id_floor + 1 >=
@@ -80,19 +78,18 @@ void SyntheticVehicle::build_id_layout() {
   }
   id_pool_.assign(chosen.begin(), chosen.end());  // ascending
 
-  ecus_.resize(static_cast<std::size_t>(config_.ecu_count));
-  for (int e = 0; e < config_.ecu_count; ++e) {
-    ecus_[static_cast<std::size_t>(e)].name =
-        std::string(kEcuNames[static_cast<std::size_t>(e)]);
+  ecus_.resize(kEcuNames.size());
+  for (std::size_t e = 0; e < kEcuNames.size(); ++e) {
+    ecus_[e].name = std::string(kEcuNames[e]);
   }
 
   // Walk the sorted pool through the period tiers; distribute messages over
   // ECUs round-robin so every ECU owns a mix of priorities.
   std::size_t index = 0;
-  int ecu_cursor = 0;
+  std::size_t ecu_cursor = 0;
   auto next_ecu = [&]() -> EcuDescriptor& {
-    EcuDescriptor& ecu = ecus_[static_cast<std::size_t>(ecu_cursor)];
-    ecu_cursor = (ecu_cursor + 1) % config_.ecu_count;
+    EcuDescriptor& ecu = ecus_[ecu_cursor];
+    ecu_cursor = (ecu_cursor + 1) % kEcuNames.size();
     return ecu;
   };
 

@@ -54,8 +54,6 @@ struct VehicleConfig {
   /// Assigned-ID range. Real vehicles avoid the extremes of the space.
   std::uint32_t id_floor = 0x040;
   std::uint32_t id_ceiling = 0x7EF;
-  /// Number of simulated ECUs the IDs are distributed over.
-  int ecu_count = 12;
   /// Master seed fixing the ID layout and schedule of this vehicle.
   std::uint64_t seed = 0xF0D02016u;
   /// Multiplier applied to every message period; < 1 raises the bus load

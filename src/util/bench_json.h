@@ -2,7 +2,7 @@
 // drops a machine-readable BENCH_<name>.json next to its human-readable
 // table so CI can upload one artifact per run and the project's perf
 // trajectory stays comparable across PRs (the same contract
-// bench_campaign.json and bench_model_io.json established).
+// BENCH_campaign.json established).
 #pragma once
 
 #include <chrono>

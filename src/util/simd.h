@@ -1,7 +1,7 @@
 // Runtime SIMD capability detection and the process-wide kernel-level
 // switch. The dispatched kernels (ids/simd_kernels.h) are integer-exact:
 // every level produces bit-identical counters, so the level is purely a
-// throughput knob — sweepable by bench_ingest via set_simd_level() and
+// throughput knob — switchable in-process via set_simd_level() and
 // overridable with the CANIDS_SIMD environment variable
 // (scalar | sse2 | avx2) for the CI byte-identity checks.
 #pragma once

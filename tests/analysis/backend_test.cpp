@@ -257,9 +257,7 @@ TEST(IntervalBackendTest, VerdictMetricIsPeakViolations) {
 
 TEST(EnsembleDetectorTest, CombinesMembersAndNamesVoters) {
   const BackendWorld world;
-  DetectorOptions options = world.options(3);
-  options.ensemble_policy = EnsemblePolicy::kAny;
-  const auto backend = make_detector("ensemble", options);
+  const auto backend = make_detector("ensemble", world.options(3));
   EXPECT_EQ(backend->describe().name, "ensemble");
 
   const auto verdicts =
@@ -274,26 +272,11 @@ TEST(EnsembleDetectorTest, CombinesMembersAndNamesVoters) {
                   voter == "interval")
           << "unexpected voter " << voter;
     }
-    // votes >= quorum, and the quorum under kAny is 1.
+    // The metric counts the voters and reaches the majority quorum.
+    EXPECT_EQ(verdict.metric,
+              static_cast<double>(verdict.detail->voters.size()));
     EXPECT_GE(verdict.metric, verdict.threshold);
-    EXPECT_EQ(verdict.threshold, 1.0);
   }
-}
-
-TEST(EnsembleDetectorTest, AllPolicyIsStricterThanAny) {
-  const BackendWorld world;
-  DetectorOptions any_options = world.options(3);
-  any_options.ensemble_policy = EnsemblePolicy::kAny;
-  DetectorOptions all_options = world.options(3);
-  all_options.ensemble_policy = EnsemblePolicy::kAll;
-
-  const auto trace = world.make_trace(8, 6, {4, 5});
-  const auto any_backend = make_detector("ensemble", any_options);
-  const auto all_backend = make_detector("ensemble", all_options);
-  const std::size_t any_alerts = alert_count(run_backend(*any_backend, trace));
-  const std::size_t all_alerts = alert_count(run_backend(*all_backend, trace));
-  EXPECT_GE(any_alerts, all_alerts);
-  EXPECT_GT(any_alerts, 0u);
 }
 
 TEST(EnsembleDetectorTest, WindowsStayAlignedAcrossMembers) {

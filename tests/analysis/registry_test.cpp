@@ -84,14 +84,7 @@ TEST(DetectorRegistryTest, BitEntropyRequiresGoldenTemplate) {
                std::invalid_argument);
   EXPECT_THROW((void)make_detector("ensemble", options),
                std::invalid_argument)
-      << "the default ensemble contains bit-entropy";
-}
-
-TEST(DetectorRegistryTest, EnsembleRejectsSelfReference) {
-  DetectorOptions options = options_with_template();
-  options.ensemble_members = {"ensemble"};
-  EXPECT_THROW((void)make_detector("ensemble", options),
-               std::invalid_argument);
+      << "the ensemble contains bit-entropy";
 }
 
 }  // namespace

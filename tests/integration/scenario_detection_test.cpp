@@ -6,7 +6,11 @@
 
 #include <array>
 
+#include "can/bus.h"
+#include "ids/detector.h"
+#include "ids/window.h"
 #include "metrics/experiment.h"
+#include "util/rng.h"
 
 namespace canids::metrics {
 namespace {
@@ -73,17 +77,44 @@ TEST(ExtendedScenarioTest, SuspendIsCaughtByTwoSidedBitEntropy) {
   EXPECT_EQ(trial.frames.injected_frames, 0u);
   EXPECT_GT(trial.windows.true_positive_rate(), 0.5);
 
-  // The silence pushes per-bit entropy through the template's UPPER tail:
-  // a rule watching rises alone still sees the attack. That is the
-  // direction injections are not expected to move the needle, and the
-  // reason the detector grew a two-sided default (the per-tail mechanics
-  // are pinned down in DetectorTest.TwoSidedRuleCatchesBothTails).
-  ExperimentConfig above_only = extended_config();
-  above_only.pipeline.detector.tails = ids::AlertTails::kAbove;
-  ExperimentRunner one_sided(above_only);
-  const InstrumentedTrial upper = one_sided.run_instrumented_trial(
-      "bit-entropy", ScenarioKind::kSuspend, 100.0, 1);
-  EXPECT_GT(upper.windows.true_positive_rate(), 0.5);
+  // The silence pushes per-bit entropy through the template's UPPER tail,
+  // the direction injections are not expected to move; that is why the
+  // rule is two-sided (the per-tail mechanics are pinned down in
+  // DetectorTest.TwoSidedRuleCatchesBothTails). Replay a suspend drive
+  // through ids::Detector: in most attack windows, some alerted bit's
+  // entropy ROSE above the template.
+  const ExperimentConfig config = extended_config();
+  const ids::Detector detector(runner.train_shared(),
+                               config.pipeline.detector);
+  attacks::AttackConfig attack_config;
+  attack_config.start = config.clean_lead_in;
+  attack_config.stop = config.clean_lead_in + config.attack_duration;
+  attacks::BuiltAttack attack = attacks::make_scenario(
+      ScenarioKind::kSuspend, runner.vehicle(), attack_config, util::Rng(1));
+  can::BusSimulator bus(config.vehicle.bus);
+  runner.vehicle().attach_to(bus, trace::DrivingBehavior::kCity, 1);
+  (void)attacks::attach_attack(bus, attack);
+
+  ids::WindowAccumulator accumulator(config.pipeline.window);
+  std::size_t attack_windows = 0;
+  std::size_t risen_windows = 0;
+  bus.add_listener([&](const can::TimedFrame& frame) {
+    const auto window = accumulator.add(frame.timestamp, frame.frame.id());
+    if (!window || window->start < attack_config.start) return;
+    const ids::DetectionResult result = detector.evaluate(*window);
+    if (!result.evaluated) return;
+    ++attack_windows;
+    for (const int bit : result.alerted_bits) {
+      if (result.bits[static_cast<std::size_t>(bit)].delta_entropy > 0.0) {
+        ++risen_windows;
+        break;
+      }
+    }
+  });
+  bus.run_until(attack_config.stop);
+  ASSERT_GT(attack_windows, 0u);
+  EXPECT_GT(2 * risen_windows, attack_windows)
+      << risen_windows << " of " << attack_windows;
 }
 
 TEST(ExtendedScenarioTest, SuspendIsInvisibleToTheIntervalBaseline) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <fstream>
 #include <sstream>
@@ -11,6 +12,7 @@
 #include "telemetry/event_log.h"
 #include "telemetry/exposition.h"
 #include "telemetry/metrics.h"
+#include "util/rng.h"
 
 namespace canids::telemetry {
 namespace {
@@ -147,6 +149,34 @@ TEST(Histogram, QuantileInterpolatesWithinBucket) {
   EXPECT_EQ(over.snapshot().quantile(0.99), 100.0);
   // Empty histogram.
   EXPECT_EQ(Histogram({100}).snapshot().quantile(0.5), 0.0);
+
+  // On the shared latency ladder, over a sample spread like real fan-out
+  // latencies (2 µs .. 2 ms), each exact sorted-sample percentile and the
+  // histogram's estimate land in the same bucket (a bucketed estimator
+  // cannot promise more), and count and sum are exact.
+  std::vector<std::uint64_t> sample;
+  std::uint64_t sum = 0;
+  util::Rng rng(99);
+  Histogram latency(latency_bounds_ns());
+  for (int i = 0; i < 500; ++i) {
+    const std::uint64_t v = 2'000 + rng.below(2'000'000);
+    sample.push_back(v);
+    sum += v;
+    latency.observe(v);
+  }
+  const HistogramSnapshot latency_snap = latency.snapshot();
+  EXPECT_EQ(latency_snap.count(), sample.size());
+  EXPECT_EQ(latency_snap.sum, sum);
+  std::sort(sample.begin(), sample.end());
+  for (const double q : {0.5, 0.99}) {
+    const std::uint64_t exact = sample[static_cast<std::size_t>(
+        q * static_cast<double>(sample.size()))];
+    const auto estimated =
+        static_cast<std::uint64_t>(latency_snap.quantile(q));
+    EXPECT_EQ(latency_snap.bucket_index(exact),
+              latency_snap.bucket_index(estimated))
+        << "q=" << q << " exact " << exact << " estimated " << estimated;
+  }
 }
 
 TEST(Histogram, LadderHelpers) {

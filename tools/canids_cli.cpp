@@ -616,7 +616,9 @@ int cmd_detect(const std::string& models_path, const std::string& capture_path,
 }
 
 /// Expand directory arguments into their capture files (sorted); plain
-/// files pass through.
+/// files pass through. Two spellings of one file (`a.log ./a.log`, or a
+/// directory and a file inside it) are a usage error: the fleet would judge
+/// the same traffic twice.
 std::vector<std::filesystem::path> collect_captures(
     const std::vector<std::string>& inputs) {
   std::vector<std::filesystem::path> paths;
@@ -631,6 +633,15 @@ std::vector<std::filesystem::path> collect_captures(
       paths.insert(paths.end(), in_dir.begin(), in_dir.end());
     } else {
       paths.push_back(path);
+    }
+  }
+  for (std::size_t i = 1; i < paths.size(); ++i) {
+    for (std::size_t j = 0; j < i; ++j) {
+      std::error_code unknown;  // a missing file fails later, when opened
+      if (std::filesystem::equivalent(paths[j], paths[i], unknown)) {
+        throw UsageError{"captures '" + paths[j].string() + "' and '" +
+                         paths[i].string() + "' are the same file"};
+      }
     }
   }
   return paths;
@@ -650,6 +661,11 @@ int cmd_fleet(const std::string& models_path,
   const auto alerts_out = arg_string(args, "--alerts-out");
   const auto metrics_out = arg_string(args, "--metrics-out");
   reject_leftovers(args);
+  const std::vector<std::filesystem::path> paths = collect_captures(inputs);
+  if (paths.empty()) {
+    std::fprintf(stderr, "no capture files found\n");
+    return 66;
+  }
   // A registry exists exactly when something will read it: sampling fills
   // its histograms, --metrics-out dumps its exposition.
   if (metrics_out || config.telemetry_sample > 0) {
@@ -668,12 +684,6 @@ int cmd_fleet(const std::string& models_path,
                    alerts_out->c_str());
       return 66;
     }
-  }
-
-  const std::vector<std::filesystem::path> paths = collect_captures(inputs);
-  if (paths.empty()) {
-    std::fprintf(stderr, "no capture files found\n");
-    return 66;
   }
 
   engine::FleetEngine fleet(std::move(detector->backend), config);
