@@ -5,6 +5,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "can/frame.h"
 #include "util/json.h"
 #include "util/time.h"
 
@@ -127,6 +128,12 @@ void CampaignSpec::validate() const {
   } else {
     if (scenarios.empty() && sweep_ids.empty()) {
       throw std::invalid_argument("campaign spec: no scenarios or sweep IDs");
+    }
+    for (const std::uint32_t id : sweep_ids) {
+      if (id > can::kMaxStdId) {
+        throw std::invalid_argument(
+            "campaign spec: sweep_ids must lie in [0, 2047]");
+      }
     }
     if (rates_hz.empty()) {
       throw std::invalid_argument("campaign spec: no injection rates");

@@ -137,7 +137,6 @@ std::shared_ptr<const ids::GoldenTemplate> ExperimentRunner::train_shared() {
       if (snap.end - snap.start != window) continue;
       if (builder.window_count() >= config_.training_windows) break;
       builder.add_window(snap);
-      training_snapshots_.push_back(snap);
     }
     ++behavior_index;
   }
@@ -145,11 +144,6 @@ std::shared_ptr<const ids::GoldenTemplate> ExperimentRunner::train_shared() {
   models_.golden =
       std::make_shared<const ids::GoldenTemplate>(builder.build());
   return models_.golden;
-}
-
-const std::vector<ids::WindowSnapshot>& ExperimentRunner::training_snapshots() {
-  (void)train();
-  return training_snapshots_;
 }
 
 model::StoredModels ExperimentRunner::trained_models() {

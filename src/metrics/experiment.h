@@ -143,11 +143,6 @@ class ExperimentRunner {
   /// (and any fleet engine built on this runner) references it copy-free.
   [[nodiscard]] std::shared_ptr<const ids::GoldenTemplate> train_shared();
 
-  /// The individual training windows (for Fig. 2 and the stability bench).
-  /// Only a runner that trained its own template has them: adopted models
-  /// carry none.
-  [[nodiscard]] const std::vector<ids::WindowSnapshot>& training_snapshots();
-
   /// Train everything this runner can train (golden template + both
   /// baseline models) exactly once and return them as shareable immutable
   /// handles. A campaign trains ONE runner and hands the set to every
@@ -244,7 +239,6 @@ class ExperimentRunner {
   trace::SyntheticVehicle vehicle_;
   /// Trained or adopted models; null entries are trained on first use.
   model::StoredModels models_;
-  std::vector<ids::WindowSnapshot> training_snapshots_;
   std::uint64_t training_passes_ = 0;
 };
 

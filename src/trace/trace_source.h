@@ -74,7 +74,7 @@ class MemorySource final : public TraceSource {
 
 /// Streams frames off a live BusSimulator by advancing the simulation in
 /// bounded chunks on demand: memory is one chunk's worth of frames, not the
-/// whole run. The caller configures the bus (vehicle, attackers, faults)
+/// whole run. The caller configures the bus (vehicle and attackers)
 /// before constructing the source; the bus must outlive it. Do not call
 /// run_until elsewhere while streaming. (The registered bus listener owns
 /// its buffer jointly with the source, so running the bus after the source

@@ -20,14 +20,6 @@ inline constexpr TimeNs kSecond = 1'000'000'000;
 /// far past any capture or window, and far inside TimeNs.
 inline constexpr double kMaxDurationSeconds = 1e6;
 
-[[nodiscard]] constexpr TimeNs from_ms(std::int64_t ms) noexcept {
-  return ms * kMillisecond;
-}
-
-[[nodiscard]] constexpr TimeNs from_us(std::int64_t us) noexcept {
-  return us * kMicrosecond;
-}
-
 [[nodiscard]] constexpr TimeNs from_seconds(double s) noexcept {
   return static_cast<TimeNs>(s * static_cast<double>(kSecond));
 }

@@ -146,6 +146,9 @@ TEST(CampaignSpecTest, ValidateRejectsDegenerateGrids) {
   EXPECT_THROW(spec.validate(), std::invalid_argument);
   spec.sweep_ids = {0x100};  // sweep mode needs no scenarios
   EXPECT_NO_THROW(spec.validate());
+  // A sweep ID past 11 bits would reach the injector's precondition.
+  spec.sweep_ids = {0x7FF, 0x800};
+  EXPECT_THROW(spec.validate(), std::invalid_argument);
 
   // Rates outside [kMinRateHz, kMaxRateHz] would make the injection
   // period zero or overflow TimeNs.

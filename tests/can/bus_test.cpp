@@ -175,46 +175,6 @@ TEST(BusSimulatorTest, DisabledNodeDoesNotTransmit) {
   EXPECT_EQ(bus.stats().frames_transmitted, 0u);
 }
 
-TEST(BusSimulatorTest, HoldBusDominantTripsGuardAndDisables) {
-  BusConfig config;
-  config.transceiver.dominant_timeout = 800 * util::kMicrosecond;
-  BusSimulator bus(config);
-  auto& attacker = bus.emplace_node<PeriodicSender>(
-      "attacker", std::vector<MessageSpec>{spec_of(0x000, kSecond)},
-      util::Rng(1));
-  const int index = bus.find_node("attacker");
-  const TimeNs held = bus.hold_bus_dominant(index, 5 * kMillisecond);
-  // The transceiver cuts the hold at its timeout and disables the node.
-  EXPECT_EQ(held, 800 * util::kMicrosecond);
-  EXPECT_TRUE(attacker.guard().tripped());
-  EXPECT_TRUE(attacker.disabled());
-  // A disabled holder cannot grab the bus again.
-  EXPECT_EQ(bus.hold_bus_dominant(index, kMillisecond), 0);
-}
-
-TEST(BusSimulatorTest, ShortHoldDoesNotTrip) {
-  BusSimulator bus;
-  bus.emplace_node<PeriodicSender>(
-      "n", std::vector<MessageSpec>{spec_of(0x100, kSecond)}, util::Rng(1));
-  const int index = bus.find_node("n");
-  const TimeNs held = bus.hold_bus_dominant(index, 100 * util::kMicrosecond);
-  EXPECT_EQ(held, 100 * util::kMicrosecond);
-  EXPECT_FALSE(bus.node(index).disabled());
-}
-
-TEST(BusSimulatorTest, WellFormedTrafficNeverTripsGuard) {
-  BusConfig config;
-  config.transceiver.dominant_timeout = 200 * util::kMicrosecond;
-  BusSimulator bus(config);
-  // Even the most dominant legal frames keep runs <= 6 bits (48 us).
-  bus.emplace_node<PeriodicSender>(
-      "zeros", std::vector<MessageSpec>{spec_of(0x000, kMillisecond)},
-      util::Rng(1));
-  bus.run_until(kSecond);
-  EXPECT_FALSE(bus.node(0).disabled());
-  EXPECT_GT(bus.stats().frames_transmitted, 900u);
-}
-
 TEST(BusSimulatorTest, FindNodeByName) {
   BusSimulator bus;
   bus.emplace_node<PeriodicSender>(

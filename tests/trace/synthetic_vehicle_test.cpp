@@ -4,6 +4,8 @@
 
 #include <set>
 
+#include "attacks/scenario.h"
+#include "can/bus.h"
 #include "trace/trace_io.h"
 
 namespace canids::trace {
@@ -126,6 +128,52 @@ TEST(SyntheticVehicleTest, SameRunSeedReproducesExactly) {
     EXPECT_EQ(a[i].timestamp, b[i].timestamp);
     EXPECT_EQ(a[i].frame, b[i].frame);
   }
+}
+
+// Pins the simulator's exact output for one seeded drive under a flood, so
+// a rewrite of the bus loop cannot shift arbitration, timing or delivery
+// order unnoticed: the frame count, BusStats, and an FNV-1a digest over
+// every delivered frame's timestamp, ID, source node, DLC and payload.
+TEST(SyntheticVehicleTest, SeededFloodDriveIsPinned) {
+  const SyntheticVehicle vehicle;
+  can::BusSimulator bus(vehicle.config().bus);
+  vehicle.attach_to(bus, DrivingBehavior::kCity, 42);
+  attacks::AttackConfig config;
+  config.frequency_hz = 100.0;
+  config.start = 2 * util::kSecond;
+  config.stop = 8 * util::kSecond;
+  attacks::BuiltAttack attack = attacks::make_scenario(
+      attacks::ScenarioKind::kFlood, vehicle, config, util::Rng(7));
+  (void)attacks::attach_attack(bus, attack);
+
+  std::uint64_t delivered = 0;
+  std::uint64_t digest = 0xCBF29CE484222325ULL;
+  const auto mix = [&digest](std::uint64_t value, int bytes) {
+    for (int i = 0; i < bytes; ++i) {
+      digest ^= (value >> (8 * i)) & 0xFFU;
+      digest *= 0x100000001B3ULL;
+    }
+  };
+  bus.add_listener([&](const can::TimedFrame& f) {
+    ++delivered;
+    mix(static_cast<std::uint64_t>(f.timestamp), 8);
+    mix(f.frame.id().raw(), 4);
+    mix(static_cast<std::uint32_t>(f.source_node), 4);
+    mix(f.frame.dlc(), 1);
+    for (const std::uint8_t byte : f.frame.payload()) mix(byte, 1);
+  });
+  bus.run_until(10 * util::kSecond);
+
+  const can::BusStats& stats = bus.stats();
+  EXPECT_EQ(delivered, 9448u);
+  EXPECT_EQ(stats.frames_transmitted, 9448u);
+  EXPECT_EQ(stats.arbitration_rounds, 9448u);
+  EXPECT_EQ(stats.contested_rounds, 4429u);
+  EXPECT_EQ(stats.collisions, 2u);
+  EXPECT_EQ(stats.busy_time, 8'372'232'000);
+  EXPECT_EQ(stats.observed_time, 10'000'468'290);
+  EXPECT_EQ(bus.now(), 10'000'468'290);
+  EXPECT_EQ(digest, 0x5A096D33CAC7C5CDULL);
 }
 
 TEST(SyntheticVehicleTest, ConfigValidation) {

@@ -133,7 +133,7 @@ void print_usage(std::FILE* out) {
                "  canids simulate <log-out> [--seconds N] [--behavior NAME] "
                "[--seed N] [--attack KIND] [--freq HZ]\n"
                "  canids campaign [spec.json] [--smoke] [--out DIR] "
-               "[--detectors A,B] [--scenarios A,B] [--ids HEX,...] "
+               "[--detectors A,B] [--scenarios A,B] [--ids ID,...] "
                "[--rates HZ,...] [--seeds N] [--seed N] [--alpha A] "
                "[--window S] [--lead-in S] [--duration S] "
                "[--training-windows N] [--workers N] [--model BUNDLE] "
@@ -1241,16 +1241,22 @@ int cmd_campaign(std::vector<std::string> args) {
   if (const auto ids = arg_string(args, "--ids")) {
     spec.sweep_ids.clear();
     for (const std::string& item : split_list(*ids)) {
-      try {
-        std::size_t used = 0;
-        const unsigned long long id = std::stoull(item, &used, 0);
-        if (used != item.size() || id > 0xFFFFFFFFull) {
-          throw std::invalid_argument("range");
-        }
-        spec.sweep_ids.push_back(static_cast<std::uint32_t>(id));
-      } catch (const std::exception&) {
-        throw UsageError{"invalid identifier '" + item + "' in --ids"};
+      // Decimal, or hex behind 0x; a leading zero (octal to strtoul) is
+      // refused so `010` cannot quietly mean 8.
+      const bool hex = item.size() > 2 && item[0] == '0' &&
+                       (item[1] == 'x' || item[1] == 'X');
+      const std::string_view digits =
+          std::string_view(item).substr(hex ? 2 : 0);
+      std::uint32_t id = 0;
+      const char* const end = digits.data() + digits.size();
+      const auto [ptr, ec] =
+          std::from_chars(digits.data(), end, id, hex ? 16 : 10);
+      if (ec != std::errc{} || ptr != end || id > can::kMaxStdId ||
+          (digits.size() > 1 && digits[0] == '0')) {
+        throw UsageError{"invalid identifier '" + item +
+                         "' in --ids (decimal or 0x hex, 0 to 0x7FF)"};
       }
+      spec.sweep_ids.push_back(id);
     }
   }
   if (const auto rates = arg_string(args, "--rates")) {
