@@ -7,11 +7,41 @@
 // multi-ID attacks.
 #include <iostream>
 
+#include "campaign/report.h"
+#include "campaign/runner.h"
 #include "metrics/experiment.h"
 #include "util/table.h"
 #include "util/bench_json.h"
 
 using namespace canids;
+
+namespace {
+
+/// One scenario at 100 and 50 Hz, two seeds each, as a one-scenario
+/// bit-entropy campaign over the pretrained `models`, rolled up the way
+/// Table I aggregates a scenario.
+campaign::ScenarioRollup rollup_of(const metrics::ExperimentConfig& config,
+                                   const model::StoredModels& models,
+                                   attacks::ScenarioKind kind) {
+  campaign::CampaignSpec spec;
+  spec.detectors = {"bit-entropy"};
+  spec.scenarios = {kind};
+  spec.rates_hz = {100.0, 50.0};
+  spec.seeds = 2;
+  spec.experiment = config;
+  campaign::CampaignRunner runner(spec, models);
+  return runner.run().rollup("bit-entropy", kind);
+}
+
+/// The golden template `config` trains, shared by every campaign over it.
+model::StoredModels trained_template(const metrics::ExperimentConfig& config) {
+  metrics::ExperimentRunner master(config);
+  model::StoredModels models;
+  models.golden = master.train_shared();
+  return models;
+}
+
+}  // namespace
 
 int main() {
   const util::BenchTimer bench_timer;
@@ -60,11 +90,11 @@ int main() {
       config.attack_duration = 15 * util::kSecond;
       config.seed = 0xAB1A7E;
       config.pipeline.inference.rank = rank;
-      metrics::ExperimentRunner runner(config);
-      const metrics::ScenarioSummary single =
-          runner.run_scenario(attacks::ScenarioKind::kSingle, {100.0, 50.0}, 2);
-      const metrics::ScenarioSummary multi3 =
-          runner.run_scenario(attacks::ScenarioKind::kMulti3, {100.0, 50.0}, 2);
+      const model::StoredModels models = trained_template(config);
+      const campaign::ScenarioRollup single =
+          rollup_of(config, models, attacks::ScenarioKind::kSingle);
+      const campaign::ScenarioRollup multi3 =
+          rollup_of(config, models, attacks::ScenarioKind::kMulti3);
       table.add_row({std::to_string(rank),
                      single.inference_accuracy
                          ? util::Table::percent(*single.inference_accuracy)
@@ -91,14 +121,14 @@ int main() {
       config.attack_duration = 15 * util::kSecond;
       config.seed = 0xAB1A7E;
       config.pipeline.window.track_pairs = pairs;
-      metrics::ExperimentRunner runner(config);
+      const model::StoredModels models = trained_template(config);
       std::vector<std::string> row;
       row.push_back(pairs ? "marginals + pairs (ours)" : "marginals (paper)");
       for (attacks::ScenarioKind kind :
            {attacks::ScenarioKind::kSingle, attacks::ScenarioKind::kMulti2,
             attacks::ScenarioKind::kMulti3, attacks::ScenarioKind::kMulti4}) {
-        const metrics::ScenarioSummary summary =
-            runner.run_scenario(kind, {100.0, 50.0}, 2);
+        const campaign::ScenarioRollup summary =
+            rollup_of(config, models, kind);
         row.push_back(summary.inference_accuracy
                           ? util::Table::percent(*summary.inference_accuracy)
                           : "--");

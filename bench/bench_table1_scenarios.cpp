@@ -6,9 +6,9 @@
 // The sweep itself is four thin CampaignSpec wrappers over the campaign
 // subsystem (flooding gets its own spec because it uses the high aggregate
 // frequency grid, and the pair-mode extension gets its own pair of specs);
-// trial seeds and aggregation reproduce the historic run_scenario loops
-// exactly, so the numbers match the pre-campaign bench bit for bit — while
-// the trials now fan out over every core.
+// trial seeds and aggregation (CampaignReport::rollup) reproduce the
+// pre-campaign per-scenario loops exactly, so the numbers match that bench
+// bit for bit — while the trials now fan out over every core.
 //
 // Expected shape: flood ~100 % with no inference; detection rises with the
 // number of injected IDs while inferring accuracy falls; weak ≈ single.

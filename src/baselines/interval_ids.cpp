@@ -1,21 +1,27 @@
 #include "baselines/interval_ids.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <istream>
-#include <ostream>
-#include <sstream>
-#include <stdexcept>
-#include <string>
 
 #include "util/contracts.h"
-#include "util/csv.h"
 
 namespace canids::baselines {
 
 IntervalIds::IntervalIds(IntervalConfig config) : config_(config) {
   CANIDS_EXPECTS(config_.fast_ratio > 0.0 && config_.fast_ratio < 1.0);
   CANIDS_EXPECTS(config_.violations_to_alert >= 1);
+}
+
+IntervalIds::IntervalIds(IntervalConfig config,
+                         const std::vector<Period>& periods)
+    : IntervalIds(config) {
+  for (const auto& [id, mean_interval] : periods) {
+    CANIDS_EXPECTS(mean_interval > 0);
+    RunState state;
+    state.mean_interval = mean_interval;
+    const bool distinct = learned_.emplace(id, state).second;
+    CANIDS_EXPECTS(distinct);
+  }
+  trained_ = true;
 }
 
 void IntervalIds::train(util::TimeNs timestamp, std::uint32_t id) {
@@ -83,103 +89,14 @@ bool IntervalIds::window_alert_and_reset() {
   return alert;
 }
 
-void IntervalIds::save(std::ostream& out) const {
-  CANIDS_EXPECTS_MSG(trained_,
-                     "only a trained interval model can be persisted — call "
-                     "finish_training() first");
-  char line[128];
-  out << "canids-interval-model v1\n";
-  std::snprintf(line, sizeof line, "fast_ratio %.17g\n", config_.fast_ratio);
-  out << line;
-  out << "violations_to_alert " << config_.violations_to_alert << "\n";
-  out << "alert_on_unseen " << (config_.alert_on_unseen ? 1 : 0) << "\n";
-  out << "ids " << learned_.size() << "\n";
-  std::vector<std::pair<std::uint32_t, util::TimeNs>> rows;
+std::vector<IntervalIds::Period> IntervalIds::periods() const {
+  std::vector<Period> rows;
   rows.reserve(learned_.size());
   for (const auto& [id, state] : learned_) {
     rows.emplace_back(id, state.mean_interval);
   }
   std::sort(rows.begin(), rows.end());
-  for (const auto& [id, mean_interval] : rows) {
-    out << id << " " << mean_interval << "\n";
-  }
-  if (!out) throw std::runtime_error("interval model: write failed");
-}
-
-IntervalIds IntervalIds::load(std::istream& in) {
-  const auto bad = [](const std::string& what) -> std::runtime_error {
-    return std::runtime_error("interval model: " + what);
-  };
-  std::string line;
-  if (!std::getline(in, line) ||
-      util::trim(line) != "canids-interval-model v1") {
-    throw bad("bad magic line");
-  }
-
-  // Headers appear in the exact order save() writes them.
-  IntervalConfig config;
-  std::size_t id_count = 0;
-  const auto read_header = [&](std::string_view key) {
-    return util::read_keyed_line(in, key, "interval model");
-  };
-  try {
-    std::size_t used = 0;
-    const std::string ratio = read_header("fast_ratio");
-    if (!util::parse_double_strict(ratio, config.fast_ratio)) {
-      throw bad("malformed fast_ratio '" + ratio + "'");
-    }
-    const std::string violations = read_header("violations_to_alert");
-    config.violations_to_alert = std::stoi(violations, &used);
-    if (used != violations.size()) {
-      throw bad("malformed violations_to_alert '" + violations + "'");
-    }
-    const std::string unseen = read_header("alert_on_unseen");
-    if (unseen != "0" && unseen != "1") {
-      throw bad("malformed alert_on_unseen '" + unseen + "'");
-    }
-    config.alert_on_unseen = unseen == "1";
-    const std::string count = read_header("ids");
-    id_count = std::stoull(count, &used);
-    if (used != count.size()) throw bad("malformed id count '" + count + "'");
-  } catch (const std::runtime_error&) {
-    throw;
-  } catch (const std::exception&) {
-    // stoi/stoull out_of_range on a header value; `line` still holds the
-    // magic line here, so don't name it.
-    throw bad("header value out of range");
-  }
-  // Parseable-but-invalid config is a stream error (clean runtime_error),
-  // not a programmer error — don't let the constructor's contract checks
-  // fire on a corrupt file.
-  if (!(config.fast_ratio > 0.0 && config.fast_ratio < 1.0) ||
-      config.violations_to_alert < 1) {
-    throw bad("config value out of range");
-  }
-
-  IntervalIds model(config);
-  for (std::size_t row = 0; row < id_count; ++row) {
-    if (!std::getline(in, line)) {
-      throw bad("truncated stream: expected " + std::to_string(id_count) +
-                " id rows, got " + std::to_string(row));
-    }
-    std::istringstream ls(line);
-    std::uint64_t id = 0;
-    util::TimeNs mean_interval = 0;
-    std::string extra;
-    ls >> id >> mean_interval;
-    if (!ls || (ls >> extra) || id > 0xFFFFFFFFull || mean_interval <= 0) {
-      throw bad("malformed id row '" + line + "'");
-    }
-    RunState state;
-    state.mean_interval = mean_interval;
-    if (!model.learned_.emplace(static_cast<std::uint32_t>(id), state)
-             .second) {
-      throw bad("duplicate id row '" + line + "'");
-    }
-  }
-  util::expect_stream_end(in, "interval model");
-  model.trained_ = true;
-  return model;
+  return rows;
 }
 
 std::size_t IntervalIds::state_bytes() const noexcept {

@@ -8,8 +8,8 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "util/time.h"
@@ -31,7 +31,15 @@ struct IntervalConfig {
 
 class IntervalIds {
  public:
+  /// One learned period: identifier and its mean interval.
+  using Period = std::pair<std::uint32_t, util::TimeNs>;
+
   explicit IntervalIds(IntervalConfig config = {});
+
+  /// Restore a trained model from persisted periods (the inverse of
+  /// periods()), with pristine runtime state. Every interval must be > 0
+  /// and every ID distinct.
+  IntervalIds(IntervalConfig config, const std::vector<Period>& periods);
 
   /// Training phase: feed normal traffic.
   void train(util::TimeNs timestamp, std::uint32_t id);
@@ -66,15 +74,9 @@ class IntervalIds {
     return learned_.size();
   }
 
-  /// Stream persistence ("canids-interval-model v1", text): config plus the
-  /// frozen learned periods, one `id mean_interval_ns` row per identifier
-  /// in ascending ID order (deterministic bytes for any map layout). Only a
-  /// trained model can be saved; load() returns a trained model with
-  /// pristine runtime state. load() is strict — wrong magic, malformed or
-  /// duplicate rows, a row-count mismatch, and trailing garbage all throw
-  /// std::runtime_error.
-  void save(std::ostream& out) const;
-  [[nodiscard]] static IntervalIds load(std::istream& in);
+  /// Learned (id, mean interval) periods in ascending ID order — the
+  /// frozen state a model bundle persists.
+  [[nodiscard]] std::vector<Period> periods() const;
   /// Bytes of per-ID learned + runtime state (the §V.E storage argument).
   [[nodiscard]] std::size_t state_bytes() const noexcept;
 

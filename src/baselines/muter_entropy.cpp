@@ -2,14 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <istream>
-#include <ostream>
-#include <stdexcept>
 #include <string>
 
 #include "util/contracts.h"
-#include "util/csv.h"
 
 namespace canids::baselines {
 
@@ -118,80 +113,6 @@ MuterEntropyIds::MuterEntropyIds(MuterConfig config, double mean_entropy,
   CANIDS_EXPECTS_MSG(std::isfinite(threshold_) && threshold_ >= 0.0,
                      "restored muter model has invalid threshold " +
                          std::to_string(threshold_));
-}
-
-namespace {
-
-std::string expect_keyed_line(std::istream& in, std::string_view key) {
-  return util::read_keyed_line(in, key, "muter model");
-}
-
-double parse_value(const std::string& text, const char* what) {
-  double value = 0.0;
-  if (!util::parse_double_strict(text, value)) {
-    throw std::runtime_error(std::string("muter model: malformed ") + what +
-                             " '" + text + "'");
-  }
-  return value;
-}
-
-}  // namespace
-
-void MuterEntropyIds::save(std::ostream& out) const {
-  char line[128];
-  out << "canids-muter-model v1\n";
-  std::snprintf(line, sizeof line, "alpha %.17g\n", config_.alpha);
-  out << line;
-  std::snprintf(line, sizeof line, "min_threshold %.17g\n",
-                config_.min_threshold);
-  out << line;
-  out << "min_window_frames " << config_.min_window_frames << "\n";
-  std::snprintf(line, sizeof line, "mean_entropy %.17g\n", mean_);
-  out << line;
-  std::snprintf(line, sizeof line, "threshold %.17g\n", threshold_);
-  out << line;
-  if (!out) throw std::runtime_error("muter model: write failed");
-}
-
-MuterEntropyIds MuterEntropyIds::load(std::istream& in) {
-  std::string line;
-  if (!std::getline(in, line) || util::trim(line) != "canids-muter-model v1") {
-    throw std::runtime_error("muter model: bad magic line");
-  }
-  MuterConfig config;
-  config.alpha = parse_value(expect_keyed_line(in, "alpha"), "alpha");
-  config.min_threshold =
-      parse_value(expect_keyed_line(in, "min_threshold"), "min_threshold");
-  const std::string frames_text = expect_keyed_line(in, "min_window_frames");
-  try {
-    // stoull silently wraps a negative value through 2^64, which would
-    // restore a detector whose frame floor no window can ever reach (never
-    // evaluates, never alerts) — require a plain digit string.
-    if (frames_text.empty() ||
-        frames_text.find_first_not_of("0123456789") != std::string::npos) {
-      throw std::invalid_argument("digits");
-    }
-    std::size_t used = 0;
-    config.min_window_frames = std::stoull(frames_text, &used);
-    if (used != frames_text.size()) throw std::invalid_argument("trail");
-  } catch (const std::exception&) {
-    throw std::runtime_error("muter model: malformed min_window_frames '" +
-                             frames_text + "'");
-  }
-  const double mean =
-      parse_value(expect_keyed_line(in, "mean_entropy"), "mean_entropy");
-  const double threshold =
-      parse_value(expect_keyed_line(in, "threshold"), "threshold");
-  util::expect_stream_end(in, "muter model");
-  // Range-check parseable-but-invalid values here, as stream errors — the
-  // restore constructor's contract checks are for programmer errors, and
-  // a corrupt file must surface as a clean parse failure at every catch
-  // site that honors the documented std::runtime_error.
-  if (config.alpha <= 0.0 || config.min_threshold < 0.0 || mean < 0.0 ||
-      threshold < 0.0) {
-    throw std::runtime_error("muter model: value out of range");
-  }
-  return MuterEntropyIds(config, mean, threshold);
 }
 
 MuterEntropyIds::Result MuterEntropyIds::evaluate(

@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <optional>
 #include <unordered_map>
 #include <vector>
@@ -65,8 +64,8 @@ class MuterEntropyIds {
   MuterEntropyIds(const std::vector<SymbolWindow>& training,
                   MuterConfig config = {});
 
-  /// Restore a trained detector from persisted state (the inverse of
-  /// save()). `threshold` must be finite and >= 0.
+  /// Restore a trained detector from persisted state (config(),
+  /// mean_entropy() and threshold()). Both values must be finite and >= 0.
   MuterEntropyIds(MuterConfig config, double mean_entropy, double threshold);
 
   struct Result {
@@ -82,14 +81,6 @@ class MuterEntropyIds {
   [[nodiscard]] double mean_entropy() const noexcept { return mean_; }
   [[nodiscard]] double threshold() const noexcept { return threshold_; }
   [[nodiscard]] const MuterConfig& config() const noexcept { return config_; }
-
-  /// Stream persistence ("canids-muter-model v1", text). Doubles are
-  /// written with 17 significant digits, so a load()ed model is
-  /// bit-identical to the saved one. load() is strict: wrong magic,
-  /// missing/duplicate/unknown keys, or trailing garbage all throw
-  /// std::runtime_error.
-  void save(std::ostream& out) const;
-  [[nodiscard]] static MuterEntropyIds load(std::istream& in);
 
  private:
   MuterConfig config_;

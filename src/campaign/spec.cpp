@@ -32,6 +32,23 @@ util::TimeNs duration_of(const std::string& key, const util::JsonValue& value) {
   return util::from_seconds(seconds);
 }
 
+/// A grid axis must not list one value twice: both copies would run the
+/// same cells and land in the report under one key. Rates compare as
+/// numbers, so 100 and 1e2 are one value.
+template <typename T>
+void reject_repeats(const std::vector<T>& values, const std::string& key) {
+  for (std::size_t later = 1; later < values.size(); ++later) {
+    for (std::size_t earlier = 0; earlier < later; ++earlier) {
+      if (values[earlier] == values[later]) {
+        throw std::invalid_argument(
+            "campaign spec: " + key + " repeats a value (" + key + "[" +
+            std::to_string(earlier) + "] and [" + std::to_string(later) +
+            "])");
+      }
+    }
+  }
+}
+
 }  // namespace
 
 ShardSelector ShardSelector::parse(std::string_view text) {
@@ -109,6 +126,7 @@ void CampaignSpec::validate() const {
   if (detectors.empty()) {
     throw std::invalid_argument("campaign spec: no detectors");
   }
+  reject_repeats(detectors, "detectors");
   if (capture_mode()) {
     // The synthetic-grid axes carry no meaning over recorded traffic;
     // captures themselves are validated when the runner resolves the
@@ -125,6 +143,7 @@ void CampaignSpec::validate() const {
         throw std::invalid_argument("campaign spec: empty capture name");
       }
     }
+    reject_repeats(captures, "captures");
   } else {
     if (scenarios.empty() && sweep_ids.empty()) {
       throw std::invalid_argument("campaign spec: no scenarios or sweep IDs");
@@ -135,6 +154,11 @@ void CampaignSpec::validate() const {
             "campaign spec: sweep_ids must lie in [0, 2047]");
       }
     }
+    if (sweep_ids.empty()) {
+      reject_repeats(scenarios, "scenarios");
+    } else {
+      reject_repeats(sweep_ids, "sweep_ids");
+    }
     if (rates_hz.empty()) {
       throw std::invalid_argument("campaign spec: no injection rates");
     }
@@ -144,6 +168,7 @@ void CampaignSpec::validate() const {
             "campaign spec: rates must lie in [0.001, 100000] Hz");
       }
     }
+    reject_repeats(rates_hz, "rates_hz");
     if (seeds < 1) {
       throw std::invalid_argument("campaign spec: seeds must be >= 1");
     }
@@ -239,8 +264,9 @@ std::vector<TrialPlan> CampaignSpec::plan() const {
                     static_cast<std::uint64_t>(seeds) +
                 static_cast<std::uint64_t>(s);
           } else {
-            // Rate-major counter per scenario, matching the historic
-            // run_scenario trial ordering (Table I).
+            // Rate-major counter that restarts per scenario (the Table I
+            // ordering), so a scenario's seeds do not depend on which
+            // other scenarios the spec lists.
             trial.kind = scenarios[a];
             trial.trial_seed =
                 static_cast<std::uint64_t>(r) *

@@ -153,8 +153,8 @@ struct CampaignSpec {
 
   /// The full grid in canonical order: detector-major, then scenario (or
   /// sweep ID), then rate, then seed. Trial seeds reproduce the historic
-  /// bench orderings: scenario cells use rate-major counters (the Table I
-  /// run_scenario order), sweep cells count per identifier (Fig. 3).
+  /// bench orderings: scenario cells use a rate-major counter that restarts
+  /// per scenario (Table I), sweep cells count per identifier (Fig. 3).
   [[nodiscard]] std::vector<TrialPlan> plan() const;
 
   /// plan() filtered to the trials the spec's shard selector owns (the
@@ -164,8 +164,9 @@ struct CampaignSpec {
   [[nodiscard]] std::vector<TrialPlan> sharded_plan() const;
 
   /// Throws std::invalid_argument when the grid is degenerate (no
-  /// detectors, no scenarios/IDs, no rates, seeds < 1, a shard index
-  /// outside its count, ...).
+  /// detectors, no scenarios/IDs, no rates, seeds < 1, a value repeated
+  /// within detectors, scenarios, sweep_ids, rates_hz or captures, a shard
+  /// index outside its count, ...).
   void validate() const;
 };
 

@@ -1,13 +1,10 @@
 #include "ids/golden_template.h"
 
 #include <algorithm>
-#include <charconv>
-#include <cstdio>
-#include <iterator>
-#include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "util/contracts.h"
-#include "util/csv.h"
 
 namespace canids::ids {
 
@@ -21,178 +18,6 @@ double GoldenTemplate::probability_range(int bit) const {
   CANIDS_EXPECTS(bit >= 0 && bit < width);
   return max_probability[static_cast<std::size_t>(bit)] -
          min_probability[static_cast<std::size_t>(bit)];
-}
-
-std::string GoldenTemplate::serialize() const {
-  std::ostringstream out;
-  out << "canids-golden-template v1\n";
-  out << "width " << width << "\n";
-  out << "training_windows " << training_windows << "\n";
-  out << "# bit mean_H min_H max_H mean_p min_p max_p\n";
-  char line[256];
-  for (int i = 0; i < width; ++i) {
-    const auto b = static_cast<std::size_t>(i);
-    std::snprintf(line, sizeof line,
-                  "%d %.17g %.17g %.17g %.17g %.17g %.17g\n", i,
-                  mean_entropy[b], min_entropy[b], max_entropy[b],
-                  mean_probability[b], min_probability[b],
-                  max_probability[b]);
-    out << line;
-  }
-  if (has_pairs()) {
-    out << "# pair i j mean_q min_q max_q\n";
-    for (int i = 0; i < width - 1; ++i) {
-      for (int j = i + 1; j < width; ++j) {
-        const auto idx = static_cast<std::size_t>(pair_index(i, j, width));
-        std::snprintf(line, sizeof line, "pair %d %d %.17g %.17g %.17g\n", i,
-                      j, mean_pair_probability[idx],
-                      min_pair_probability[idx], max_pair_probability[idx]);
-        out << line;
-      }
-    }
-  }
-  return out.str();
-}
-
-GoldenTemplate GoldenTemplate::deserialize(std::string_view text) {
-  std::istringstream in{std::string(text)};
-  std::string line;
-
-  if (!std::getline(in, line) ||
-      util::trim(line) != "canids-golden-template v1") {
-    throw std::runtime_error("golden template: bad magic line");
-  }
-
-  GoldenTemplate tpl;
-  tpl.width = 0;
-  std::size_t rows = 0;
-  bool saw_training_windows = false;
-
-  // Rejects trailing tokens after a parsed line — "width 11 junk" or a
-  // data row with an eighth column would otherwise load as if the junk
-  // weren't there, hiding a corrupted or mis-concatenated file.
-  auto require_fully_consumed = [](std::istringstream& ls,
-                                   const std::string& l) {
-    std::string extra;
-    if (ls >> extra) {
-      throw std::runtime_error(
-          "golden template: trailing garbage in line '" + l + "'");
-    }
-  };
-
-  auto parse_header = [&](const std::string& l) {
-    std::istringstream ls(l);
-    std::string key;
-    ls >> key;
-    if (key == "width") {
-      if (tpl.width != 0) {
-        throw std::runtime_error("golden template: duplicate width header");
-      }
-      ls >> tpl.width;
-      if (!ls || tpl.width <= 0 || tpl.width > 32) {
-        throw std::runtime_error("golden template: bad width");
-      }
-      require_fully_consumed(ls, l);
-      tpl.mean_entropy.assign(static_cast<std::size_t>(tpl.width), 0.0);
-      tpl.min_entropy.assign(static_cast<std::size_t>(tpl.width), 0.0);
-      tpl.max_entropy.assign(static_cast<std::size_t>(tpl.width), 0.0);
-      tpl.mean_probability.assign(static_cast<std::size_t>(tpl.width), 0.0);
-      tpl.min_probability.assign(static_cast<std::size_t>(tpl.width), 0.0);
-      tpl.max_probability.assign(static_cast<std::size_t>(tpl.width), 0.0);
-      return true;
-    }
-    if (key == "training_windows") {
-      if (saw_training_windows) {
-        throw std::runtime_error(
-            "golden template: duplicate training_windows header");
-      }
-      saw_training_windows = true;
-      ls >> tpl.training_windows;
-      if (!ls) throw std::runtime_error("golden template: bad window count");
-      require_fully_consumed(ls, l);
-      return true;
-    }
-    return false;
-  };
-
-  std::size_t pair_rows = 0;
-  while (std::getline(in, line)) {
-    const std::string_view body = util::trim(line);
-    if (body.empty() || body.front() == '#') continue;
-    if (parse_header(line)) continue;
-
-    if (tpl.width == 0) {
-      throw std::runtime_error("golden template: data before width header");
-    }
-    if (body.starts_with("pair ")) {
-      if (tpl.mean_pair_probability.empty()) {
-        const auto pairs =
-            static_cast<std::size_t>(pair_count(tpl.width));
-        tpl.mean_pair_probability.assign(pairs, 0.0);
-        tpl.min_pair_probability.assign(pairs, 0.0);
-        tpl.max_pair_probability.assign(pairs, 0.0);
-      }
-      std::istringstream ls(line);
-      std::string tag;
-      int i = -1, j = -1;
-      double mean_q = 0, min_q = 0, max_q = 0;
-      ls >> tag >> i >> j >> mean_q >> min_q >> max_q;
-      if (!ls || i < 0 || j <= i || j >= tpl.width) {
-        throw std::runtime_error("golden template: bad pair row '" + line +
-                                 "'");
-      }
-      require_fully_consumed(ls, line);
-      const auto idx = static_cast<std::size_t>(pair_index(i, j, tpl.width));
-      tpl.mean_pair_probability[idx] = mean_q;
-      tpl.min_pair_probability[idx] = min_q;
-      tpl.max_pair_probability[idx] = max_q;
-      ++pair_rows;
-      continue;
-    }
-    std::istringstream ls(line);
-    int bit = -1;
-    double mean_h = 0, min_h = 0, max_h = 0, mean_p = 0, min_p = 0, max_p = 0;
-    ls >> bit >> mean_h >> min_h >> max_h >> mean_p >> min_p >> max_p;
-    if (!ls || bit < 0 || bit >= tpl.width) {
-      throw std::runtime_error("golden template: bad data row '" + line + "'");
-    }
-    require_fully_consumed(ls, line);
-    const auto b = static_cast<std::size_t>(bit);
-    tpl.mean_entropy[b] = mean_h;
-    tpl.min_entropy[b] = min_h;
-    tpl.max_entropy[b] = max_h;
-    tpl.mean_probability[b] = mean_p;
-    tpl.min_probability[b] = min_p;
-    tpl.max_probability[b] = max_p;
-    ++rows;
-  }
-  if (pair_rows != 0 &&
-      pair_rows != static_cast<std::size_t>(pair_count(tpl.width))) {
-    throw std::runtime_error("golden template: incomplete pair rows");
-  }
-
-  if (rows != static_cast<std::size_t>(tpl.width)) {
-    throw std::runtime_error("golden template: expected " +
-                             std::to_string(tpl.width) + " rows, got " +
-                             std::to_string(rows));
-  }
-  return tpl;
-}
-
-void GoldenTemplate::save(std::ostream& out) const {
-  out << serialize();
-  if (!out) {
-    throw std::runtime_error("golden template: write failed");
-  }
-}
-
-GoldenTemplate GoldenTemplate::load(std::istream& in) {
-  const std::string text((std::istreambuf_iterator<char>(in)),
-                         std::istreambuf_iterator<char>());
-  if (in.bad()) {
-    throw std::runtime_error("golden template: read failed");
-  }
-  return deserialize(text);
 }
 
 TemplateBuilder::TemplateBuilder(int width) : width_(width) {

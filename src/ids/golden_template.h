@@ -8,8 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
-#include <string_view>
 #include <vector>
 
 #include "ids/window.h"
@@ -44,17 +42,6 @@ struct GoldenTemplate {
   [[nodiscard]] bool has_pairs() const noexcept {
     return !mean_pair_probability.empty();
   }
-
-  /// Human-readable text serialization (versioned, diff-friendly).
-  [[nodiscard]] std::string serialize() const;
-  [[nodiscard]] static GoldenTemplate deserialize(std::string_view text);
-
-  /// Stream persistence over the same text format: `canids train --save`
-  /// writes a template once and every later detect/fleet/campaign run
-  /// cold-starts from it instead of retraining in-process. Throws
-  /// std::runtime_error on I/O failure or a malformed stream.
-  void save(std::ostream& out) const;
-  [[nodiscard]] static GoldenTemplate load(std::istream& in);
 
   friend bool operator==(const GoldenTemplate&,
                          const GoldenTemplate&) = default;

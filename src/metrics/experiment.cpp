@@ -423,47 +423,4 @@ std::unique_ptr<analysis::DetectorBackend> ExperimentRunner::make_backend(
   return analysis::make_detector(name, options);
 }
 
-ScenarioSummary ExperimentRunner::run_scenario(
-    attacks::ScenarioKind kind, const std::vector<double>& frequencies,
-    int trials_per_frequency) {
-  CANIDS_EXPECTS(!frequencies.empty());
-  CANIDS_EXPECTS(trials_per_frequency >= 1);
-
-  ScenarioSummary summary;
-  summary.kind = kind;
-
-  FrameDetection frames;
-  WindowConfusion windows;
-  double inference_hit_sum = 0.0;
-  std::uint64_t inference_windows = 0;
-  double injection_sum = 0.0;
-
-  std::uint64_t trial_counter = 0;
-  for (double frequency : frequencies) {
-    for (int t = 0; t < trials_per_frequency; ++t) {
-      const InstrumentedTrial trial =
-          run_instrumented_trial("bit-entropy", kind, frequency, trial_counter);
-      ++trial_counter;
-      ++summary.trials;
-      frames += trial.frames;
-      windows += trial.windows;
-      injection_sum += trial.injection_rate_arbitration;
-      inference_hit_sum += trial.inference_hit_sum;
-      inference_windows += trial.inference_windows;
-    }
-  }
-
-  summary.detection_rate = frames.detection_rate();
-  summary.false_positive_rate = windows.false_positive_rate();
-  summary.mean_injection_rate =
-      injection_sum / static_cast<double>(summary.trials);
-  if (inference_windows > 0) {
-    // Per detection event, matching the paper's rank-selection hit rate:
-    // every alerted attack window is one inference attempt.
-    summary.inference_accuracy =
-        inference_hit_sum / static_cast<double>(inference_windows);
-  }
-  return summary;
-}
-
 }  // namespace canids::metrics

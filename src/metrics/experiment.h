@@ -114,16 +114,6 @@ struct InstrumentedTrial {
   [[nodiscard]] std::optional<util::TimeNs> detection_latency() const noexcept;
 };
 
-/// Aggregate of several trials of the same scenario.
-struct ScenarioSummary {
-  attacks::ScenarioKind kind{};
-  std::size_t trials = 0;
-  double detection_rate = 0.0;       ///< frame-weighted across trials
-  std::optional<double> inference_accuracy;  ///< mean over trials with data
-  double false_positive_rate = 0.0;  ///< window-level, across trials
-  double mean_injection_rate = 0.0;  ///< arbitration view, mean over trials
-};
-
 class ExperimentRunner {
  public:
   explicit ExperimentRunner(ExperimentConfig config = {});
@@ -163,12 +153,6 @@ class ExperimentRunner {
   [[nodiscard]] std::uint64_t training_passes() const noexcept {
     return training_passes_;
   }
-
-  /// Run `trials_per_frequency` bit-entropy trials at each frequency and
-  /// aggregate.
-  [[nodiscard]] ScenarioSummary run_scenario(
-      attacks::ScenarioKind kind, const std::vector<double>& frequencies,
-      int trials_per_frequency);
 
   // ---- detector backends and baseline models (§V.E comparisons) ----------
 

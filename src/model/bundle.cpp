@@ -76,7 +76,9 @@ ModelBundle ModelBundle::load(std::istream& in) {
   if (version != kBundleFormatVersion) {
     fail("unsupported format version " + std::to_string(version) +
          " (this build reads version " +
-         std::to_string(kBundleFormatVersion) + ")");
+         std::to_string(kBundleFormatVersion) +
+         ") — re-run `canids train` on clean captures to write a current "
+         "bundle");
   }
   const std::uint32_t count = reader.u32("section count");
 

@@ -7,7 +7,7 @@
 //   offset  bytes  field
 //   ------  -----  -----------------------------------------------
 //   0       8      magic "canidsMB"
-//   8       4      format version (u32 little-endian, currently 1)
+//   8       4      format version (u32 little-endian, currently 2)
 //   12      4      section count (u32 little-endian)
 //   then, per section:
 //           4      name length (u32 LE)     } strict: empty or
@@ -17,7 +17,9 @@
 //
 // load() is strict: bad magic, an unsupported version, a truncated stream,
 // or trailing bytes after the last section all throw — a half-written or
-// foreign file must never cold-start a detector silently.
+// foreign file must never cold-start a detector silently. The payload
+// layout of each known section is model/store.cpp's; the version number
+// covers it, so any section layout change bumps kBundleFormatVersion.
 #pragma once
 
 #include <cstdint>
@@ -32,7 +34,7 @@ namespace canids::model {
 inline constexpr std::string_view kBundleMagic = "canidsMB";
 
 /// Current on-disk format version; load() rejects anything else.
-inline constexpr std::uint32_t kBundleFormatVersion = 1;
+inline constexpr std::uint32_t kBundleFormatVersion = 2;
 
 /// Hard cap on one section's payload (256 MiB) — a corrupted length field
 /// must fail fast instead of attempting a multi-gigabyte allocation.

@@ -1,9 +1,10 @@
 // ModelStore: the typed layer over ModelBundle. A bundle is opaque named
-// sections; the store knows which section holds which trained model and how
-// to serialize each one. StoredModels is the one type that carries a trained
-// model set — through the experiment harness, campaigns, and hot reload
-// alike, and onto detector options via DetectorOptions::adopt_models — and a
-// bundle is the one file it is read from.
+// sections; the store knows which section holds which trained model and
+// owns every section's byte layout (store.cpp, the only place it is
+// defined). StoredModels is the one type that carries a trained model set —
+// through the experiment harness, campaigns, and hot reload alike, and
+// onto detector options via DetectorOptions::adopt_models — and a bundle
+// is the one file it is read from.
 // Everything that persists or cold-starts trained detectors (`canids
 // train`, `detect|fleet|serve|campaign --model`, serve RELOAD) goes through
 // these functions, so the set of known sections has exactly one home.
@@ -40,15 +41,16 @@ struct StoredModels {
   }
 };
 
-/// Serialize every non-null model into its section. Throws
+/// Encode every non-null model into its section. Throws
 /// std::invalid_argument when all entries are null (an empty bundle is
-/// always a caller bug).
+/// always a caller bug) or the interval model is untrained.
 [[nodiscard]] ModelBundle pack(const StoredModels& models);
 
-/// Deserialize every known section. Unknown section names throw
-/// std::runtime_error — a bundle written by a newer build must not
-/// half-load (the format version gates layout changes; sections gate
-/// content).
+/// Decode every known section. Unknown section names, and a payload that
+/// is truncated, has trailing bytes or holds an out-of-range value, throw
+/// std::runtime_error naming the section — a bundle written by a newer
+/// build must not half-load (the format version gates layout changes;
+/// sections gate content).
 [[nodiscard]] StoredModels unpack(const ModelBundle& bundle);
 
 /// One-line human summary of a section's model ("width 11, 35 training

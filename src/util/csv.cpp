@@ -3,10 +3,7 @@
 #include <cctype>
 #include <charconv>
 #include <cmath>
-#include <istream>
 #include <ostream>
-#include <sstream>
-#include <stdexcept>
 
 #include "util/contracts.h"
 
@@ -99,35 +96,6 @@ bool parse_double_strict(std::string_view text, double& value) noexcept {
   if (!std::isfinite(parsed)) return false;
   value = parsed;
   return true;
-}
-
-std::string read_keyed_line(std::istream& in, std::string_view key,
-                            std::string_view context) {
-  std::string line;
-  if (!std::getline(in, line)) {
-    throw std::runtime_error(std::string(context) +
-                             ": truncated stream, expected '" +
-                             std::string(key) + "'");
-  }
-  std::istringstream tokens(line);
-  std::string name, value, extra;
-  tokens >> name >> value;
-  if (!tokens || name != key || (tokens >> extra)) {
-    throw std::runtime_error(std::string(context) + ": expected '" +
-                             std::string(key) + " <value>', got '" + line +
-                             "'");
-  }
-  return value;
-}
-
-void expect_stream_end(std::istream& in, std::string_view context) {
-  std::string line;
-  while (std::getline(in, line)) {
-    if (!trim(line).empty()) {
-      throw std::runtime_error(std::string(context) + ": trailing garbage '" +
-                               line + "'");
-    }
-  }
 }
 
 bool parse_decimal_seconds(std::string_view text,

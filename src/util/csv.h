@@ -32,23 +32,10 @@ namespace canids::util {
                                          std::int64_t& nanoseconds) noexcept;
 
 /// Strict double parse: the whole token must be consumed and the value
-/// finite (the rule every model/label text format shares — a trailing 'x'
-/// or an inf/nan must reject, not truncate). Returns false on failure.
+/// finite (the rule every label, JSON and CLI number shares — a trailing
+/// 'x' or an inf/nan must reject, not truncate). Returns false on failure.
 [[nodiscard]] bool parse_double_strict(std::string_view text,
                                        double& value) noexcept;
-
-/// Read the next line of a keyed text format (the model-persistence
-/// streams) as exactly `<key> <value>` and return the value token. Throws
-/// std::runtime_error — prefixed with `context` — on a missing line, a
-/// different key, or anything but exactly two whitespace-separated tokens.
-[[nodiscard]] std::string read_keyed_line(std::istream& in,
-                                          std::string_view key,
-                                          std::string_view context);
-
-/// Require that only blank lines remain — the shared trailing-garbage rule
-/// of the keyed text formats. Throws std::runtime_error (prefixed with
-/// `context`) naming the offending line otherwise.
-void expect_stream_end(std::istream& in, std::string_view context);
 
 /// Incremental CSV writer with a fixed header.
 class CsvWriter {

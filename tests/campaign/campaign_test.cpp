@@ -169,6 +169,36 @@ TEST(CampaignSpecTest, ValidateRejectsDegenerateGrids) {
     spec.experiment.pipeline.detector.alpha = alpha;
     EXPECT_THROW(spec.validate(), std::invalid_argument) << alpha;
   }
+
+  // A value repeated within one axis would run its cells twice under one
+  // report key; the error names the key and both positions.
+  const auto expect_repeat = [](const CampaignSpec& bad,
+                                const std::string& message) {
+    try {
+      bad.validate();
+      ADD_FAILURE() << "accepted: " << message;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(message), std::string::npos)
+          << e.what();
+    }
+  };
+  spec = CampaignSpec{};
+  spec.detectors = {"bit-entropy", "interval", "bit-entropy"};
+  expect_repeat(spec, "detectors repeats a value (detectors[0] and [2])");
+  spec = CampaignSpec{};
+  spec.scenarios = {attacks::ScenarioKind::kSingle,
+                    attacks::ScenarioKind::kSingle};
+  expect_repeat(spec, "scenarios repeats a value (scenarios[0] and [1])");
+  spec = CampaignSpec{};
+  spec.sweep_ids = {0x101, 0x200, 0x101};
+  expect_repeat(spec, "sweep_ids repeats a value (sweep_ids[0] and [2])");
+  spec = CampaignSpec{};
+  spec.rates_hz = {100.0, 1e2};  // rates compare as numbers
+  expect_repeat(spec, "rates_hz repeats a value (rates_hz[0] and [1])");
+  spec = CampaignSpec{};
+  spec.capture_dir = "captures";
+  spec.captures = {"a.log", "b.log", "b.log"};
+  expect_repeat(spec, "captures repeats a value (captures[1] and [2])");
 }
 
 TEST(CampaignSpecTest, PlanSeedsMatchHistoricOrderings) {
@@ -183,9 +213,9 @@ TEST(CampaignSpecTest, PlanSeedsMatchHistoricOrderings) {
   ASSERT_EQ(plan.size(), spec.trial_count());
   ASSERT_EQ(plan.size(), 16u);
 
-  // Scenario cells reuse the run_scenario counter: rate-major per
-  // scenario, restarting per scenario — so every detector sees identical
-  // traffic for a given (scenario, rate, seed) cell.
+  // Scenario cells count rate-major, restarting per scenario (Table I's
+  // ordering) — so every detector sees identical traffic for a given
+  // (scenario, rate, seed) cell.
   EXPECT_EQ(plan[0].trial_seed, 0u);  // a, single, 100 Hz, seed 0
   EXPECT_EQ(plan[1].trial_seed, 1u);  // a, single, 100 Hz, seed 1
   EXPECT_EQ(plan[2].trial_seed, 2u);  // a, single, 50 Hz, seed 0
@@ -513,12 +543,11 @@ TEST(CampaignRunnerTest, RejectsBareTemplateFileAsModel) {
   CampaignSpec spec = quick_spec();
   spec.detectors = {"bit-entropy"};
   spec.seeds = 1;
-  metrics::ExperimentRunner master(spec.experiment);
   const std::filesystem::path path =
       std::filesystem::temp_directory_path() / "canids_campaign_test.tpl";
   {
     std::ofstream out(path);
-    master.train().save(out);
+    out << "canids-golden-template v1\nwidth 11\ntraining_windows 10\n";
   }
   spec.model_path = path.string();
   CampaignRunner runner(spec);

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
 #include <stdexcept>
 
 #include "util/rng.h"
@@ -72,67 +71,6 @@ TEST(TemplateBuilderTest, RejectsTooSmallMinWindows) {
   EXPECT_THROW((void)builder.build(1), canids::ContractViolation);
 }
 
-TEST(GoldenTemplateTest, SerializeDeserializeIdentity) {
-  TemplateBuilder builder;
-  util::Rng rng(4);
-  for (int w = 0; w < 40; ++w) {
-    WindowSnapshot snap;
-    snap.frames = 900;
-    snap.probabilities.resize(11);
-    snap.entropies.resize(11);
-    for (int bit = 0; bit < 11; ++bit) {
-      const double p = rng.uniform(0.1, 0.9);
-      snap.probabilities[static_cast<std::size_t>(bit)] = p;
-      snap.entropies[static_cast<std::size_t>(bit)] = binary_entropy(p);
-    }
-    builder.add_window(snap);
-  }
-  const GoldenTemplate original = builder.build(kPaperTrainingWindows);
-  const GoldenTemplate restored =
-      GoldenTemplate::deserialize(original.serialize());
-  EXPECT_EQ(restored, original);
-}
-
-TEST(GoldenTemplateTest, SaveLoadStreamRoundTrip) {
-  TemplateBuilder builder;
-  util::Rng rng(11);
-  for (int w = 0; w < 5; ++w) {
-    WindowSnapshot snap;
-    snap.frames = 700;
-    snap.probabilities.resize(11);
-    snap.entropies.resize(11);
-    for (int bit = 0; bit < 11; ++bit) {
-      const double p = rng.uniform(0.1, 0.9);
-      snap.probabilities[static_cast<std::size_t>(bit)] = p;
-      snap.entropies[static_cast<std::size_t>(bit)] = binary_entropy(p);
-    }
-    builder.add_window(snap);
-  }
-  const GoldenTemplate original = builder.build();
-
-  std::stringstream stream;
-  original.save(stream);
-  const GoldenTemplate restored = GoldenTemplate::load(stream);
-  EXPECT_EQ(restored, original);
-}
-
-TEST(GoldenTemplateTest, LoadRejectsGarbageStream) {
-  std::stringstream stream("definitely not a template\n");
-  EXPECT_THROW((void)GoldenTemplate::load(stream), std::runtime_error);
-}
-
-TEST(GoldenTemplateTest, DeserializeRejectsGarbage) {
-  EXPECT_THROW((void)GoldenTemplate::deserialize(""), std::runtime_error);
-  EXPECT_THROW((void)GoldenTemplate::deserialize("not-a-template\n"),
-               std::runtime_error);
-  EXPECT_THROW((void)GoldenTemplate::deserialize(
-                   "canids-golden-template v1\nwidth 11\n"),
-               std::runtime_error);  // missing rows
-  EXPECT_THROW((void)GoldenTemplate::deserialize(
-                   "canids-golden-template v1\n0 0 0 0 0 0 0\n"),
-               std::runtime_error);  // data before width
-}
-
 WindowSnapshot window_with_pairs(double p, double q,
                                  std::uint64_t frames = 1000) {
   WindowSnapshot snap = window_with(p, frames);
@@ -161,60 +99,6 @@ TEST(GoldenTemplateTest, MixedPairAvailabilityDropsPairs) {
   builder.add_window(window_with(0.3));  // no pair data
   const GoldenTemplate tpl = builder.build();
   EXPECT_FALSE(tpl.has_pairs());
-}
-
-TEST(GoldenTemplateTest, PairSerializationRoundTrips) {
-  TemplateBuilder builder;
-  util::Rng rng(7);
-  for (int w = 0; w < 5; ++w) {
-    WindowSnapshot snap = window_with(0.4);
-    snap.pair_probabilities.resize(static_cast<std::size_t>(pair_count(11)));
-    for (double& q : snap.pair_probabilities) q = rng.uniform(0.0, 0.4);
-    builder.add_window(snap);
-  }
-  const GoldenTemplate original = builder.build();
-  ASSERT_TRUE(original.has_pairs());
-  const GoldenTemplate restored =
-      GoldenTemplate::deserialize(original.serialize());
-  EXPECT_EQ(restored, original);
-}
-
-TEST(GoldenTemplateTest, DeserializeRejectsIncompletePairRows) {
-  TemplateBuilder builder;
-  builder.add_window(window_with_pairs(0.3, 0.1));
-  builder.add_window(window_with_pairs(0.3, 0.2));
-  std::string text = builder.build().serialize();
-  // Drop the final pair row -> incomplete pair block.
-  text.erase(text.rfind("pair "));
-  EXPECT_THROW((void)GoldenTemplate::deserialize(text), std::runtime_error);
-}
-
-TEST(GoldenTemplateTest, DeserializeRejectsTrailingGarbage) {
-  TemplateBuilder builder;
-  builder.add_window(window_with(0.3));
-  builder.add_window(window_with(0.4));
-  const std::string text = builder.build().serialize();
-
-  // Garbage appended after the last record used to load silently.
-  EXPECT_THROW((void)GoldenTemplate::deserialize(text + "trailing garbage\n"),
-               std::runtime_error);
-  // A duplicate width header after the data used to zero every vector and
-  // still "succeed".
-  EXPECT_THROW((void)GoldenTemplate::deserialize(text + "width 11\n"),
-               std::runtime_error);
-  EXPECT_THROW(
-      (void)GoldenTemplate::deserialize(text + "training_windows 99\n"),
-      std::runtime_error);
-  // Extra tokens on a data row used to be ignored.
-  const std::size_t row_start = text.find("\n0 ");
-  ASSERT_NE(row_start, std::string::npos);
-  const std::size_t row_end = text.find('\n', row_start + 1);
-  std::string tampered = text;
-  tampered.insert(row_end, " 42");
-  EXPECT_THROW((void)GoldenTemplate::deserialize(tampered),
-               std::runtime_error);
-  // The untampered text still round-trips.
-  EXPECT_NO_THROW((void)GoldenTemplate::deserialize(text));
 }
 
 TEST(GoldenTemplateTest, RangeAccessorsRejectBadBit) {

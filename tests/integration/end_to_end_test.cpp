@@ -4,6 +4,8 @@
 // live in bench/).
 #include <gtest/gtest.h>
 
+#include "campaign/report.h"
+#include "campaign/runner.h"
 #include "metrics/experiment.h"
 
 namespace canids::metrics {
@@ -107,9 +109,15 @@ TEST(EndToEndTest, SingleInjectionInferenceFindsTheId) {
 }
 
 TEST(EndToEndTest, ScenarioSummaryAggregates) {
-  ExperimentRunner runner(fast_config());
-  const ScenarioSummary summary = runner.run_scenario(
-      attacks::ScenarioKind::kSingle, {100.0, 50.0}, /*trials=*/1);
+  campaign::CampaignSpec spec;
+  spec.detectors = {"bit-entropy"};
+  spec.scenarios = {attacks::ScenarioKind::kSingle};
+  spec.rates_hz = {100.0, 50.0};
+  spec.seeds = 1;
+  spec.experiment = fast_config();
+  const campaign::ScenarioRollup summary =
+      campaign::CampaignRunner(spec).run().rollup(
+          "bit-entropy", attacks::ScenarioKind::kSingle);
   EXPECT_EQ(summary.trials, 2u);
   EXPECT_GT(summary.detection_rate, 0.0);
   EXPECT_LT(summary.false_positive_rate, 0.1);

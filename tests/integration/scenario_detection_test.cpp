@@ -6,6 +6,8 @@
 
 #include <array>
 
+#include "campaign/report.h"
+#include "campaign/runner.h"
 #include "can/bus.h"
 #include "ids/detector.h"
 #include "ids/window.h"
@@ -194,25 +196,30 @@ INSTANTIATE_TEST_SUITE_P(
       return name;
     });
 
+/// One scenario over `rates` x `seeds` bit-entropy trials, as a
+/// one-scenario campaign rolled up the way Table I aggregates it.
+campaign::ScenarioRollup rollup_of(ScenarioKind kind,
+                                   std::vector<double> rates, int seeds) {
+  campaign::CampaignSpec spec;
+  spec.detectors = {"bit-entropy"};
+  spec.scenarios = {kind};
+  spec.rates_hz = std::move(rates);
+  spec.seeds = seeds;
+  spec.experiment = ScenarioDetectionTest::config();
+  return campaign::CampaignRunner(spec).run().rollup("bit-entropy", kind);
+}
+
 TEST(ScenarioShapeTest, DetectionGrowsWithInjectedIdCount) {
-  ExperimentConfig config = ScenarioDetectionTest::config();
-  ExperimentRunner runner(config);
   // Moderate per-ID frequency so single injection is detectable but not
   // saturated; multi-ID trials inject k times the volume.
-  const ScenarioSummary single =
-      runner.run_scenario(ScenarioKind::kSingle, {40.0, 20.0}, 2);
-  const ScenarioSummary multi4 =
-      runner.run_scenario(ScenarioKind::kMulti4, {40.0, 20.0}, 2);
+  const auto single = rollup_of(ScenarioKind::kSingle, {40.0, 20.0}, 2);
+  const auto multi4 = rollup_of(ScenarioKind::kMulti4, {40.0, 20.0}, 2);
   EXPECT_GE(multi4.detection_rate, single.detection_rate - 0.05);
 }
 
 TEST(ScenarioShapeTest, InferenceFallsWithInjectedIdCount) {
-  ExperimentConfig config = ScenarioDetectionTest::config();
-  ExperimentRunner runner(config);
-  const ScenarioSummary single =
-      runner.run_scenario(ScenarioKind::kSingle, {100.0}, 3);
-  const ScenarioSummary multi4 =
-      runner.run_scenario(ScenarioKind::kMulti4, {100.0}, 3);
+  const auto single = rollup_of(ScenarioKind::kSingle, {100.0}, 3);
+  const auto multi4 = rollup_of(ScenarioKind::kMulti4, {100.0}, 3);
   ASSERT_TRUE(single.inference_accuracy.has_value());
   ASSERT_TRUE(multi4.inference_accuracy.has_value());
   // Table I: 97.2 % (single) vs 69.7 % (four IDs in a rank-10 list).
@@ -220,22 +227,15 @@ TEST(ScenarioShapeTest, InferenceFallsWithInjectedIdCount) {
 }
 
 TEST(ScenarioShapeTest, WeakAttackerBehavesLikeRestrictedStrong) {
-  ExperimentConfig config = ScenarioDetectionTest::config();
-  ExperimentRunner runner(config);
-  const ScenarioSummary weak =
-      runner.run_scenario(ScenarioKind::kWeak, {100.0, 50.0}, 2);
+  const auto weak = rollup_of(ScenarioKind::kWeak, {100.0, 50.0}, 2);
   EXPECT_GT(weak.detection_rate, 0.6);
   ASSERT_TRUE(weak.inference_accuracy.has_value());
   EXPECT_GT(*weak.inference_accuracy, 0.3);
 }
 
 TEST(ScenarioShapeTest, LowFrequencyHarderToDetect) {
-  ExperimentConfig config = ScenarioDetectionTest::config();
-  ExperimentRunner runner(config);
-  const ScenarioSummary fast =
-      runner.run_scenario(ScenarioKind::kSingle, {100.0}, 3);
-  const ScenarioSummary slow =
-      runner.run_scenario(ScenarioKind::kSingle, {10.0}, 3);
+  const auto fast = rollup_of(ScenarioKind::kSingle, {100.0}, 3);
+  const auto slow = rollup_of(ScenarioKind::kSingle, {10.0}, 3);
   // The paper's N_m = Ir*f*T0 mechanism: fewer injected frames per window
   // shift the entropy less.
   EXPECT_GE(fast.detection_rate, slow.detection_rate - 0.05);

@@ -1,10 +1,11 @@
 // The model-artifact layer: ModelBundle framing (magic/version/sections,
-// strict rejection of truncated or tampered streams), byte-exact
-// persistence round-trips for every model kind, and the typed pack/unpack
-// store over them.
+// strict rejection of truncated or tampered streams), the one section codec
+// (bit-exact round trips, pinned bytes, rejection of every corrupt field),
+// and the typed pack/unpack store over them.
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -12,9 +13,12 @@
 
 #include "baselines/interval_ids.h"
 #include "baselines/muter_entropy.h"
+#include "ids/binary_entropy.h"
 #include "ids/golden_template.h"
 #include "model/bundle.h"
 #include "model/store.h"
+#include "util/binary_io.h"
+#include "util/rng.h"
 
 namespace canids::model {
 namespace {
@@ -73,13 +77,21 @@ TEST(ModelBundleTest, RejectsVersionMismatch) {
   ModelBundle bundle;
   bundle.add("a", "x");
   std::string bytes = bundle_bytes(bundle);
-  // The version field is the u32 LE right after the 8-byte magic.
-  bytes[8] = static_cast<char>(kBundleFormatVersion + 1);
-  try {
-    (void)load_bytes(bytes);
-    FAIL() << "version mismatch must throw";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("version"), std::string::npos);
+  // The version field is the u32 LE right after the 8-byte magic. Version
+  // 1 (text section payloads) is as foreign as a future version, and the
+  // error names the way forward: re-train.
+  for (const std::uint32_t version : {1u, kBundleFormatVersion + 1}) {
+    bytes[8] = static_cast<char>(version);
+    try {
+      (void)load_bytes(bytes);
+      ADD_FAILURE() << "version " << version << " loaded";
+    } catch (const std::runtime_error& e) {
+      const std::string message = e.what();
+      EXPECT_NE(message.find("version " + std::to_string(version)),
+                std::string::npos)
+          << message;
+      EXPECT_NE(message.find("canids train"), std::string::npos) << message;
+    }
   }
 }
 
@@ -103,7 +115,22 @@ TEST(ModelBundleTest, RejectsTrailingBytesAfterLastSection) {
                std::runtime_error);
 }
 
-// ---- per-model persistence round-trips -------------------------------------
+// ---- fixtures --------------------------------------------------------------
+
+ids::GoldenTemplate trained_template() {
+  ids::TemplateBuilder builder(4);
+  for (int w = 0; w < 3; ++w) {
+    ids::WindowSnapshot snap;
+    snap.start = w * util::kSecond;
+    snap.end = (w + 1) * util::kSecond;
+    snap.frames = 50;
+    snap.entropies = {0.1 + 0.01 * w, 0.5, 0.9 - 0.01 * w, 0.3};
+    snap.probabilities = {0.2, 0.4 + 0.02 * w, 0.6, 0.8};
+    snap.pair_probabilities = {0.05, 0.1 + 0.01 * w, 0.15, 0.2, 0.25, 0.3};
+    builder.add_window(snap);
+  }
+  return builder.build();
+}
 
 baselines::MuterEntropyIds trained_muter() {
   std::vector<baselines::SymbolWindow> windows(4);
@@ -116,69 +143,6 @@ baselines::MuterEntropyIds trained_muter() {
   config.min_threshold = 0.015;
   config.min_window_frames = 17;
   return baselines::MuterEntropyIds(windows, config);
-}
-
-TEST(MuterModelIoTest, RoundTripIsByteExact) {
-  const baselines::MuterEntropyIds original = trained_muter();
-  std::ostringstream first;
-  original.save(first);
-
-  std::istringstream in(first.str());
-  const baselines::MuterEntropyIds restored =
-      baselines::MuterEntropyIds::load(in);
-  // Bit-exact learned state (17-significant-digit round trip)...
-  EXPECT_EQ(restored.mean_entropy(), original.mean_entropy());
-  EXPECT_EQ(restored.threshold(), original.threshold());
-  EXPECT_EQ(restored.config().alpha, original.config().alpha);
-  EXPECT_EQ(restored.config().min_threshold, original.config().min_threshold);
-  EXPECT_EQ(restored.config().min_window_frames,
-            original.config().min_window_frames);
-  // ...and byte-exact re-serialization.
-  std::ostringstream second;
-  restored.save(second);
-  EXPECT_EQ(second.str(), first.str());
-
-  // The restored model judges windows identically.
-  baselines::SymbolWindow probe;
-  probe.frames = 100;
-  probe.entropy = 3.6;
-  const auto a = original.evaluate(probe);
-  const auto b = restored.evaluate(probe);
-  EXPECT_EQ(a.alert, b.alert);
-  EXPECT_EQ(a.deviation, b.deviation);
-  EXPECT_EQ(a.threshold, b.threshold);
-}
-
-TEST(MuterModelIoTest, LoadRejectsMalformedStreams) {
-  const auto load_text = [](const std::string& text) {
-    std::istringstream in(text);
-    return baselines::MuterEntropyIds::load(in);
-  };
-  EXPECT_THROW((void)load_text("not a model"), std::runtime_error);
-  EXPECT_THROW((void)load_text("canids-muter-model v1\n"),
-               std::runtime_error);
-  EXPECT_THROW((void)load_text("canids-muter-model v1\nalpha nope\n"),
-               std::runtime_error);
-  // Trailing garbage after a complete model.
-  std::ostringstream out;
-  trained_muter().save(out);
-  EXPECT_THROW((void)load_text(out.str() + "garbage\n"), std::runtime_error);
-  // Parseable but out-of-range values are stream errors too, not contract
-  // violations.
-  EXPECT_THROW((void)load_text("canids-muter-model v1\nalpha -1\n"
-                               "min_threshold 0.01\nmin_window_frames 20\n"
-                               "mean_entropy 3\nthreshold 0.1\n"),
-               std::runtime_error);
-  // A negative frame count must not wrap through stoull into a detector
-  // whose evaluation floor no window can reach.
-  EXPECT_THROW((void)load_text("canids-muter-model v1\nalpha 5\n"
-                               "min_threshold 0.01\nmin_window_frames -1\n"
-                               "mean_entropy 3\nthreshold 0.1\n"),
-               std::runtime_error);
-  EXPECT_THROW((void)load_text("canids-muter-model v1\nalpha 5\n"
-                               "min_threshold 0.01\nmin_window_frames 20\n"
-                               "mean_entropy nan\nthreshold 0.1\n"),
-               std::runtime_error);
 }
 
 baselines::IntervalIds trained_interval() {
@@ -196,84 +160,7 @@ baselines::IntervalIds trained_interval() {
   return model;
 }
 
-TEST(IntervalModelIoTest, RoundTripIsByteExact) {
-  const baselines::IntervalIds original = trained_interval();
-  std::ostringstream first;
-  original.save(first);
-
-  std::istringstream in(first.str());
-  const baselines::IntervalIds restored = baselines::IntervalIds::load(in);
-  EXPECT_TRUE(restored.trained());
-  EXPECT_EQ(restored.tracked_ids(), original.tracked_ids());
-  for (const std::uint32_t id : {0x100u, 0x2A7u, 0x555u}) {
-    EXPECT_EQ(restored.learned_interval(id), original.learned_interval(id));
-  }
-  EXPECT_EQ(restored.config().fast_ratio, original.config().fast_ratio);
-  EXPECT_EQ(restored.config().violations_to_alert,
-            original.config().violations_to_alert);
-  EXPECT_EQ(restored.config().alert_on_unseen,
-            original.config().alert_on_unseen);
-
-  std::ostringstream second;
-  restored.save(second);
-  EXPECT_EQ(second.str(), first.str());
-}
-
-TEST(IntervalModelIoTest, SaveRequiresTrainedLoadRejectsMalformed) {
-  baselines::IntervalIds untrained;
-  std::ostringstream out;
-  EXPECT_ANY_THROW(untrained.save(out));
-
-  const auto load_text = [](const std::string& text) {
-    std::istringstream in(text);
-    return baselines::IntervalIds::load(in);
-  };
-  EXPECT_THROW((void)load_text("wrong magic"), std::runtime_error);
-  EXPECT_THROW(
-      (void)load_text("canids-interval-model v1\nfast_ratio 0.5\n"),
-      std::runtime_error);
-  // Row-count mismatch: header promises 2 rows, stream holds 1.
-  EXPECT_THROW(
-      (void)load_text("canids-interval-model v1\nfast_ratio 0.5\n"
-                      "violations_to_alert 3\nalert_on_unseen 0\n"
-                      "ids 2\n256 10000000\n"),
-      std::runtime_error);
-  // Duplicate id row.
-  EXPECT_THROW(
-      (void)load_text("canids-interval-model v1\nfast_ratio 0.5\n"
-                      "violations_to_alert 3\nalert_on_unseen 0\n"
-                      "ids 2\n256 10000000\n256 20000000\n"),
-      std::runtime_error);
-  // Trailing garbage after the last row.
-  std::ostringstream saved;
-  trained_interval().save(saved);
-  EXPECT_THROW((void)load_text(saved.str() + "extra row\n"),
-               std::runtime_error);
-  // Parseable but out-of-range config is a stream error, not a contract
-  // violation.
-  EXPECT_THROW(
-      (void)load_text("canids-interval-model v1\nfast_ratio 1.5\n"
-                      "violations_to_alert 3\nalert_on_unseen 0\nids 0\n"),
-      std::runtime_error);
-}
-
-// ---- the typed store -------------------------------------------------------
-
-ids::GoldenTemplate trained_template() {
-  ids::TemplateBuilder builder(4);
-  for (int w = 0; w < 3; ++w) {
-    ids::WindowSnapshot snap;
-    snap.start = w * util::kSecond;
-    snap.end = (w + 1) * util::kSecond;
-    snap.frames = 50;
-    snap.entropies = {0.1 + 0.01 * w, 0.5, 0.9 - 0.01 * w, 0.3};
-    snap.probabilities = {0.2, 0.4 + 0.02 * w, 0.6, 0.8};
-    builder.add_window(snap);
-  }
-  return builder.build();
-}
-
-TEST(ModelStoreTest, PackUnpackRoundTripsEveryModel) {
+StoredModels fixture_set() {
   StoredModels models;
   models.golden =
       std::make_shared<const ids::GoldenTemplate>(trained_template());
@@ -281,22 +168,279 @@ TEST(ModelStoreTest, PackUnpackRoundTripsEveryModel) {
       std::make_shared<const baselines::MuterEntropyIds>(trained_muter());
   models.interval =
       std::make_shared<const baselines::IntervalIds>(trained_interval());
+  return models;
+}
 
+// ---- the section codec -----------------------------------------------------
+
+/// Raw fields written with the bundle primitives, to hand-build payloads.
+template <typename Write>
+std::string raw_bytes(Write write) {
+  std::ostringstream out;
+  util::BinaryWriter writer(out);
+  write(writer);
+  return out.str();
+}
+
+std::string u32_bytes(std::uint32_t value) {
+  return raw_bytes([&](util::BinaryWriter& out) { out.u32(value); });
+}
+
+std::string f64_bytes(double value) {
+  return raw_bytes([&](util::BinaryWriter& out) { out.f64(value); });
+}
+
+std::string muter_payload(double alpha, double min_threshold, double mean,
+                          double threshold) {
+  return raw_bytes([&](util::BinaryWriter& out) {
+    out.f64(alpha);
+    out.f64(min_threshold);
+    out.u64(20);
+    out.f64(mean);
+    out.f64(threshold);
+  });
+}
+
+std::string interval_payload(
+    double fast_ratio, std::uint32_t violations, std::uint8_t unseen,
+    const std::vector<std::pair<std::uint32_t, std::int64_t>>& rows) {
+  return raw_bytes([&](util::BinaryWriter& out) {
+    out.f64(fast_ratio);
+    out.u32(violations);
+    out.u8(unseen);
+    out.u32(static_cast<std::uint32_t>(rows.size()));
+    for (const auto& [id, mean_interval] : rows) {
+      out.u32(id);
+      out.i64(mean_interval);
+    }
+  });
+}
+
+/// `payload` with `patch` written over it at `offset`.
+std::string patched(std::string payload, std::size_t offset,
+                    const std::string& patch) {
+  payload.replace(offset, patch.size(), patch);
+  return payload;
+}
+
+ModelBundle one_section(std::string_view section, std::string payload) {
+  ModelBundle bundle;
+  bundle.add(std::string(section), std::move(payload));
+  return bundle;
+}
+
+/// A corrupt section must fail both decoders (unpack and the inspect
+/// summary) as a data error that names the section — never as a contract
+/// violation, which is a std::logic_error.
+void expect_rejected(std::string_view section, const std::string& payload,
+                     const std::string& why) {
+  const ModelBundle bundle = one_section(section, payload);
+  const auto check = [&](const auto& decode, const char* decoder) {
+    try {
+      decode();
+      ADD_FAILURE() << decoder << " accepted " << why;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(section), std::string::npos)
+          << decoder << ", " << why << ": " << e.what();
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << decoder << ", " << why
+                    << ": not a data error: " << e.what();
+    }
+  };
+  check([&] { (void)unpack(bundle); }, "unpack");
+  check([&] { (void)describe_section(bundle.sections().front()); },
+        "describe_section");
+}
+
+TEST(ModelCodecTest, PaperSizedTemplateRoundTripsBitExactly) {
+  // 11 bits, 35 windows of random marginals and pairs: every double must
+  // come back as the same bit pattern.
+  ids::TemplateBuilder builder;
+  util::Rng rng(4);
+  for (std::size_t w = 0; w < ids::kPaperTrainingWindows; ++w) {
+    ids::WindowSnapshot snap;
+    snap.frames = 900;
+    for (int bit = 0; bit < 11; ++bit) {
+      const double p = rng.uniform(0.1, 0.9);
+      snap.probabilities.push_back(p);
+      snap.entropies.push_back(ids::binary_entropy(p));
+    }
+    for (int pair = 0; pair < ids::pair_count(11); ++pair) {
+      snap.pair_probabilities.push_back(rng.uniform(0.0, 0.4));
+    }
+    builder.add_window(snap);
+  }
+  StoredModels models;
+  models.golden = std::make_shared<const ids::GoldenTemplate>(
+      builder.build(ids::kPaperTrainingWindows));
+  const StoredModels restored = unpack(load_bytes(bundle_bytes(pack(models))));
+  ASSERT_NE(restored.golden, nullptr);
+  EXPECT_EQ(*restored.golden, *models.golden);
+}
+
+// Pins the packed bytes of the fixture set: any change to a section layout
+// or to the bundle framing fails here, and must bump kBundleFormatVersion
+// along with these numbers.
+TEST(ModelCodecTest, PackedFixtureBytesArePinned) {
+  const std::string bytes = bundle_bytes(pack(fixture_set()));
+  std::uint64_t digest = 0xCBF29CE484222325ULL;
+  for (const char byte : bytes) {
+    digest ^= static_cast<unsigned char>(byte);
+    digest *= 0x100000001B3ULL;
+  }
+  EXPECT_EQ(kBundleFormatVersion, 2u);
+  EXPECT_EQ(bytes.size(), 531u);
+  EXPECT_EQ(digest, 0x77CCFCACFE06A096ULL);
+}
+
+TEST(ModelCodecTest, RejectsTruncationAndTrailingBytesInEverySection) {
+  const ModelBundle bundle = pack(fixture_set());
+  ASSERT_EQ(bundle.sections().size(), 3u);
+  for (const ModelBundle::Section& section : bundle.sections()) {
+    for (std::size_t cut = 0; cut < section.payload.size(); ++cut) {
+      expect_rejected(section.name, section.payload.substr(0, cut),
+                      "a cut at byte " + std::to_string(cut));
+    }
+    expect_rejected(section.name, section.payload + '\0', "a trailing byte");
+  }
+}
+
+TEST(ModelCodecTest, GoldenRejectsOutOfRangeValues) {
+  // Layout: u32 width, u64 training windows, 6 x width f64 bit statistics,
+  // the pairs byte, then 3 x pair_count(width) f64 pair statistics.
+  const std::string golden = *pack(fixture_set()).find(kGoldenSection);
+  const std::size_t bit_stats = 12;
+  const std::size_t pairs_byte = bit_stats + 6 * 4 * 8;
+  ASSERT_EQ(golden.size(), pairs_byte + 1 + 3 * 6 * 8);
+  ASSERT_EQ(golden[pairs_byte], 1);
+
+  expect_rejected(kGoldenSection, patched(golden, 0, u32_bytes(0)),
+                  "width 0");
+  expect_rejected(kGoldenSection, patched(golden, 0, u32_bytes(33)),
+                  "width 33");
+  expect_rejected(
+      kGoldenSection,
+      patched(golden, bit_stats,
+              f64_bytes(std::numeric_limits<double>::quiet_NaN())),
+      "a NaN bit statistic");
+  expect_rejected(
+      kGoldenSection,
+      patched(golden, pairs_byte + 1 + 8,
+              f64_bytes(-std::numeric_limits<double>::infinity())),
+      "an infinite pair statistic");
+  expect_rejected(kGoldenSection,
+                  patched(golden, pairs_byte, std::string(1, '\x02')),
+                  "a pairs byte of 2");
+  // A cleared pairs flag turns the pair block into trailing bytes.
+  expect_rejected(kGoldenSection,
+                  patched(golden, pairs_byte, std::string(1, '\0')),
+                  "pair statistics after a pairs byte of 0");
+}
+
+TEST(ModelCodecTest, MuterRejectsOutOfRangeValues) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_NO_THROW(
+      (void)unpack(one_section(kMuterSection, muter_payload(5, 0.01, 3, 0))));
+  expect_rejected(kMuterSection, muter_payload(0, 0.01, 3, 0.1), "alpha 0");
+  expect_rejected(kMuterSection, muter_payload(-1, 0.01, 3, 0.1),
+                  "alpha -1");
+  expect_rejected(kMuterSection, muter_payload(nan, 0.01, 3, 0.1),
+                  "a NaN alpha");
+  expect_rejected(kMuterSection, muter_payload(5, -0.01, 3, 0.1),
+                  "a negative min_threshold");
+  expect_rejected(kMuterSection, muter_payload(5, 0.01, -3, 0.1),
+                  "a negative mean");
+  expect_rejected(kMuterSection, muter_payload(5, 0.01, nan, 0.1),
+                  "a NaN mean");
+  expect_rejected(kMuterSection, muter_payload(5, 0.01, 3, -0.1),
+                  "a negative threshold");
+  expect_rejected(kMuterSection, muter_payload(5, 0.01, 3, inf),
+                  "an infinite threshold");
+}
+
+TEST(ModelCodecTest, IntervalRejectsOutOfRangeValues) {
+  const std::vector<std::pair<std::uint32_t, std::int64_t>> rows = {
+      {0x100, 10'000'000}, {0x2A7, 25'000'000}};
+  EXPECT_NO_THROW((void)unpack(
+      one_section(kIntervalSection, interval_payload(0.5, 3, 0, rows))));
+  for (const double ratio :
+       {0.0, 1.0, 1.5, -0.5, std::numeric_limits<double>::quiet_NaN()}) {
+    expect_rejected(kIntervalSection, interval_payload(ratio, 3, 0, rows),
+                    "fast_ratio " + std::to_string(ratio));
+  }
+  expect_rejected(kIntervalSection, interval_payload(0.5, 0, 0, rows),
+                  "violations_to_alert 0");
+  expect_rejected(kIntervalSection,
+                  interval_payload(0.5, 0x80000000u, 0, rows),
+                  "violations_to_alert past the int range");
+  expect_rejected(kIntervalSection, interval_payload(0.5, 3, 2, rows),
+                  "an alert_on_unseen byte of 2");
+  expect_rejected(
+      kIntervalSection,
+      interval_payload(0.5, 3, 0, {{0x100, 10'000'000}, {0x100, 20'000'000}}),
+      "a repeated id");
+  expect_rejected(
+      kIntervalSection,
+      interval_payload(0.5, 3, 0, {{0x2A7, 10'000'000}, {0x100, 20'000'000}}),
+      "a descending id");
+  expect_rejected(kIntervalSection, interval_payload(0.5, 3, 0, {{0x100, 0}}),
+                  "a period of 0");
+  expect_rejected(kIntervalSection,
+                  interval_payload(0.5, 3, 0, {{0x100, -5}}),
+                  "a negative period");
+}
+
+TEST(ModelCodecTest, PackRefusesAnUntrainedIntervalModel) {
+  StoredModels models;
+  models.interval = std::make_shared<const baselines::IntervalIds>();
+  EXPECT_THROW((void)pack(models), std::invalid_argument);
+}
+
+// ---- the typed store -------------------------------------------------------
+
+TEST(ModelStoreTest, PackUnpackRoundTripsEveryModel) {
+  const StoredModels models = fixture_set();
   const ModelBundle bundle = pack(models);
   EXPECT_TRUE(bundle.contains(kGoldenSection));
   EXPECT_TRUE(bundle.contains(kMuterSection));
   EXPECT_TRUE(bundle.contains(kIntervalSection));
 
-  const StoredModels restored = unpack(load_bytes(bundle_bytes(bundle)));
+  const std::string bytes = bundle_bytes(bundle);
+  const StoredModels restored = unpack(load_bytes(bytes));
   ASSERT_NE(restored.golden, nullptr);
   ASSERT_NE(restored.muter, nullptr);
   ASSERT_NE(restored.interval, nullptr);
+  ASSERT_TRUE(restored.golden->has_pairs());
   EXPECT_EQ(*restored.golden, *models.golden);
   EXPECT_EQ(restored.muter->mean_entropy(), models.muter->mean_entropy());
   EXPECT_EQ(restored.muter->threshold(), models.muter->threshold());
-  EXPECT_EQ(restored.interval->tracked_ids(), models.interval->tracked_ids());
-  EXPECT_EQ(restored.interval->learned_interval(0x2A7),
-            models.interval->learned_interval(0x2A7));
+  EXPECT_EQ(restored.muter->config().alpha, models.muter->config().alpha);
+  EXPECT_EQ(restored.muter->config().min_threshold,
+            models.muter->config().min_threshold);
+  EXPECT_EQ(restored.muter->config().min_window_frames,
+            models.muter->config().min_window_frames);
+  EXPECT_TRUE(restored.interval->trained());
+  EXPECT_EQ(restored.interval->periods(), models.interval->periods());
+  EXPECT_EQ(restored.interval->config().fast_ratio,
+            models.interval->config().fast_ratio);
+  EXPECT_EQ(restored.interval->config().violations_to_alert,
+            models.interval->config().violations_to_alert);
+  EXPECT_EQ(restored.interval->config().alert_on_unseen,
+            models.interval->config().alert_on_unseen);
+
+  // A load followed by pack reproduces the bundle byte for byte.
+  EXPECT_EQ(bundle_bytes(pack(restored)), bytes);
+
+  // The restored Müter band judges windows identically.
+  baselines::SymbolWindow probe;
+  probe.frames = 100;
+  probe.entropy = 3.6;
+  const auto a = models.muter->evaluate(probe);
+  const auto b = restored.muter->evaluate(probe);
+  EXPECT_EQ(a.alert, b.alert);
+  EXPECT_EQ(a.deviation, b.deviation);
+  EXPECT_EQ(a.threshold, b.threshold);
 }
 
 TEST(ModelStoreTest, PartialBundlesAreValidEmptyOnesAreNot) {
@@ -340,7 +484,7 @@ TEST(ModelStoreTest, FileRoundTripReadsBundlesOnly) {
   const std::filesystem::path legacy_path = dir / "legacy.tpl";
   {
     std::ofstream out(legacy_path);
-    models.golden->save(out);
+    out << "canids-golden-template v1\nwidth 4\ntraining_windows 3\n";
   }
   try {
     (void)load_models_file(legacy_path);
@@ -362,14 +506,7 @@ TEST(ModelStoreTest, FileRoundTripReadsBundlesOnly) {
 }
 
 TEST(ModelStoreTest, DescribeSectionSummarisesEachModel) {
-  StoredModels models;
-  models.golden =
-      std::make_shared<const ids::GoldenTemplate>(trained_template());
-  models.muter =
-      std::make_shared<const baselines::MuterEntropyIds>(trained_muter());
-  models.interval =
-      std::make_shared<const baselines::IntervalIds>(trained_interval());
-  const ModelBundle bundle = pack(models);
+  const ModelBundle bundle = pack(fixture_set());
   for (const ModelBundle::Section& section : bundle.sections()) {
     EXPECT_FALSE(describe_section(section).empty()) << section.name;
   }
