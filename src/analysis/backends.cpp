@@ -16,14 +16,23 @@ namespace canids::analysis {
 BitEntropyBackend::BitEntropyBackend(
     std::shared_ptr<const ids::GoldenTemplate> golden,
     std::vector<std::uint32_t> id_pool, ids::PipelineConfig config)
+    : BitEntropyBackend(std::move(golden), std::move(id_pool), config,
+                        nullptr) {
+  if (config_.infer_on_alert && !id_pool_.empty()) {
+    inference_ = std::make_shared<const ids::InferenceEngine>(
+        detector_.golden_ptr(), id_pool_, config_.inference);
+  }
+}
+
+BitEntropyBackend::BitEntropyBackend(
+    std::shared_ptr<const ids::GoldenTemplate> golden,
+    std::vector<std::uint32_t> id_pool, ids::PipelineConfig config,
+    std::shared_ptr<const ids::InferenceEngine> inference)
     : id_pool_(std::move(id_pool)),
       config_(config),
       accumulator_(config.window),
-      detector_(std::move(golden), config.detector) {
-  if (config_.infer_on_alert && !id_pool_.empty()) {
-    inference_.emplace(detector_.golden_ptr(), id_pool_, config_.inference);
-  }
-}
+      detector_(std::move(golden), config.detector),
+      inference_(std::move(inference)) {}
 
 WindowVerdict BitEntropyBackend::judge(const ids::WindowSnapshot& snapshot) {
   ids::DetectionResult detection = detector_.evaluate(snapshot);
@@ -124,7 +133,10 @@ void BitEntropyBackend::rebind_models(const model::StoredModels& models) {
         std::to_string(golden->width) + ")");
   }
   detector_ = ids::Detector(golden, config_.detector);
-  if (inference_) inference_.emplace(golden, id_pool_, config_.inference);
+  if (inference_) {
+    inference_ = std::make_shared<const ids::InferenceEngine>(
+        golden, id_pool_, config_.inference);
+  }
 }
 
 std::optional<WindowVerdict> BitEntropyBackend::finish() {
@@ -139,7 +151,7 @@ DetectorInfo BitEntropyBackend::describe() const {
   info.state_growth = config_.window.track_pairs
                           ? "O(1): 11 bit + 55 pair counters"
                           : "O(1): 11 bit counters";
-  info.supports_inference = inference_.has_value();
+  info.supports_inference = inference_ != nullptr;
   info.state_bytes = config_.window.track_pairs
                          ? ids::PairCounters::state_bytes()
                          : ids::BitCounters::state_bytes();
@@ -149,9 +161,12 @@ DetectorInfo BitEntropyBackend::describe() const {
 
 std::unique_ptr<DetectorBackend> BitEntropyBackend::clone_for_stream(
     std::vector<std::uint32_t> id_pool) const {
-  return std::make_unique<BitEntropyBackend>(
-      detector_.golden_ptr(), id_pool.empty() ? id_pool_ : std::move(id_pool),
-      config_);
+  if (id_pool.empty() || id_pool == id_pool_) {
+    return std::unique_ptr<BitEntropyBackend>(new BitEntropyBackend(
+        detector_.golden_ptr(), id_pool_, config_, inference_));
+  }
+  return std::make_unique<BitEntropyBackend>(detector_.golden_ptr(),
+                                             std::move(id_pool), config_);
 }
 
 // ---- SymbolEntropyBackend ---------------------------------------------------

@@ -54,10 +54,18 @@ class BitEntropyBackend final : public DetectorBackend {
     return counters_;
   }
   [[nodiscard]] DetectorInfo describe() const override;
+  /// A clone whose pool is empty or equal to this backend's shares its
+  /// inference engine, as every clone shares the golden template.
   [[nodiscard]] std::unique_ptr<DetectorBackend> clone_for_stream(
       std::vector<std::uint32_t> id_pool = {}) const override;
 
  private:
+  /// Adopts `inference`, an engine built for `id_pool` over `golden`.
+  BitEntropyBackend(std::shared_ptr<const ids::GoldenTemplate> golden,
+                    std::vector<std::uint32_t> id_pool,
+                    ids::PipelineConfig config,
+                    std::shared_ptr<const ids::InferenceEngine> inference);
+
   /// Detect, count, infer on alert, and build the verdict of one window.
   [[nodiscard]] WindowVerdict judge(const ids::WindowSnapshot& snapshot);
 
@@ -65,8 +73,9 @@ class BitEntropyBackend final : public DetectorBackend {
   ids::PipelineConfig config_;
   ids::WindowAccumulator accumulator_;
   ids::Detector detector_;
-  /// Present when config.infer_on_alert is set and the pool is non-empty.
-  std::optional<ids::InferenceEngine> inference_;
+  /// Set when config.infer_on_alert is set and the pool is non-empty.
+  /// Immutable, so clones with the same pool share it.
+  std::shared_ptr<const ids::InferenceEngine> inference_;
   ids::PipelineCounters counters_;
   std::vector<ids::WindowSnapshot> snapshot_scratch_;  ///< on_frames buffer
 };

@@ -42,14 +42,132 @@ static_assert(kBeamWidth > 0 && kMaxInjectedIds >= 1 &&
   return static_cast<double>((id >> (width - 1 - bit)) & 1u);
 }
 
-/// A partial injected-set hypothesis during beam search.
-struct Hypothesis {
-  std::vector<std::uint32_t> ids;  // ascending pool order
-  std::vector<double> weights;     // fitted per-ID traffic fractions
-  std::size_t last_pool_index = 0;
-  double residual = 0.0;
-  double lambda = 0.0;
+/// One least-squares fit's inputs, gathered from the per-window dot
+/// products: the members' pattern rows, their Gram entries p_i·p_j and
+/// right-hand sides p_i·delta.
+struct FitInput {
+  std::size_t k = 0;
+  const double* rows[kMaxInjectedIds] = {};
+  double gram[kMaxInjectedIds][kMaxInjectedIds] = {};
+  double rhs[kMaxInjectedIds] = {};
 };
+
+/// A partial injected-set hypothesis during beam search, as a flat record.
+struct Hypothesis {
+  std::size_t size = 0;
+  std::uint8_t members[kMaxInjectedIds] = {};  // ascending search-pool indices
+  double weights[kMaxInjectedIds] = {};        // fitted per-ID traffic fractions
+  double lambda = 0.0;
+  double residual = 0.0;
+};
+
+static_assert(kSearchPool <= 256, "search-pool indices are stored as bytes");
+
+// Model: injecting pool entries S with per-ID traffic fractions w_j >= 0
+// shifts every tracked statistic linearly:
+//   delta  ~=  sum_j w_j * pattern(x_j).
+// Per-ID weights (not one shared lambda) matter because a saturated bus
+// drops lower-priority members of S more often. Solved as a small
+// non-negative least squares via active-set elimination (k <= 4) on the
+// ridge-stabilised normal equations; returns the residual over `dims`
+// statistics, penalised per near-zero member. K = in.k: a constant member
+// count lets the compiler unroll every loop over members.
+template <std::size_t K>
+double fit_members(const FitInput& in, const double* delta, std::size_t dims,
+                   double* weights_out, double& lambda_out) {
+  bool dropped[K] = {};  // clamped out of the active set
+  double w[K] = {};
+  for (std::size_t pass = 0; pass <= K; ++pass) {
+    std::size_t idx[K] = {};
+    std::size_t m = 0;
+    for (std::size_t j = 0; j < K; ++j) {
+      if (!dropped[j]) idx[m++] = j;
+    }
+    if (m == 0) break;
+    // Normal equations over active members, ridge-stabilised.
+    double a[4][5] = {};
+    for (std::size_t r = 0; r < m; ++r) {
+      for (std::size_t c = 0; c < m; ++c) {
+        a[r][c] = in.gram[idx[r]][idx[c]] + (r == c ? 1e-9 : 0.0);
+      }
+      a[r][m] = in.rhs[idx[r]];
+    }
+    // Gaussian elimination with partial pivoting (m <= 4).
+    for (std::size_t col = 0; col < m; ++col) {
+      std::size_t pivot = col;
+      for (std::size_t row = col + 1; row < m; ++row) {
+        if (std::abs(a[row][col]) > std::abs(a[pivot][col])) pivot = row;
+      }
+      for (std::size_t c2 = 0; c2 <= m; ++c2) {
+        std::swap(a[col][c2], a[pivot][c2]);
+      }
+      if (std::abs(a[col][col]) < 1e-12) continue;
+      for (std::size_t row = col + 1; row < m; ++row) {
+        const double factor = a[row][col] / a[col][col];
+        for (std::size_t c2 = col; c2 <= m; ++c2) {
+          a[row][c2] -= factor * a[col][c2];
+        }
+      }
+    }
+    double solution[4] = {};
+    for (std::size_t row = m; row-- > 0;) {
+      double value = a[row][m];
+      for (std::size_t c2 = row + 1; c2 < m; ++c2) {
+        value -= a[row][c2] * solution[c2];
+      }
+      solution[row] =
+          std::abs(a[row][row]) < 1e-12 ? 0.0 : value / a[row][row];
+    }
+    // Clamp negative weights out of the active set and re-solve.
+    bool clamped = false;
+    for (std::size_t r = 0; r < m; ++r) {
+      if (solution[r] < 0.0) {
+        dropped[idx[r]] = true;
+        clamped = true;
+      } else {
+        w[idx[r]] = solution[r];
+      }
+    }
+    for (std::size_t j = 0; j < K; ++j) {
+      if (dropped[j]) w[j] = 0.0;
+    }
+    if (!clamped) break;
+  }
+
+  double total = 0.0;
+  for (std::size_t j = 0; j < K; ++j) total += w[j];
+  if (total > kLambdaMax && total > 0.0) {
+    const double scale = kLambdaMax / total;
+    for (std::size_t j = 0; j < K; ++j) w[j] *= scale;
+    total = kLambdaMax;
+  }
+
+  double residual = 0.0;
+  for (std::size_t b = 0; b < dims; ++b) {
+    double predicted = 0.0;
+    for (std::size_t j = 0; j < K; ++j) predicted += w[j] * in.rows[j][b];
+    const double r = delta[b] - predicted;
+    residual += r * r;
+  }
+  // Members fitted to ~zero weight contribute nothing but still occupy a
+  // set slot; penalise them so leaner sets win ties.
+  for (std::size_t j = 0; j < K; ++j) {
+    if (w[j] < 1e-4) residual += kSizePenalty;
+  }
+  std::copy(w, w + K, weights_out);
+  lambda_out = total;
+  return residual;
+}
+
+double fit(const FitInput& in, const double* delta, std::size_t dims,
+           double* weights_out, double& lambda_out) {
+  switch (in.k) {
+    case 1: return fit_members<1>(in, delta, dims, weights_out, lambda_out);
+    case 2: return fit_members<2>(in, delta, dims, weights_out, lambda_out);
+    case 3: return fit_members<3>(in, delta, dims, weights_out, lambda_out);
+    default: return fit_members<4>(in, delta, dims, weights_out, lambda_out);
+  }
+}
 
 }  // namespace
 
@@ -74,14 +192,14 @@ InferenceEngine::InferenceEngine(std::shared_ptr<const GoldenTemplate> golden,
       golden_->has_pairs()
           ? static_cast<std::size_t>(pair_count(golden_->width))
           : 0;
-  patterns_.resize(id_pool_.size());
+  stride_ = width + pairs;
+  patterns_.resize(id_pool_.size() * stride_);
   for (std::size_t n = 0; n < id_pool_.size(); ++n) {
-    std::vector<double>& pattern = patterns_[n];
-    pattern.resize(width + pairs);
+    double* row = patterns_.data() + n * stride_;
     const std::uint32_t id = id_pool_[n];
     for (std::size_t b = 0; b < width; ++b) {
-      pattern[b] = id_bit(id, static_cast<int>(b), golden_->width) -
-                   golden_->mean_probability[b];
+      row[b] = id_bit(id, static_cast<int>(b), golden_->width) -
+               golden_->mean_probability[b];
     }
     if (pairs > 0) {
       for (int i = 0; i < golden_->width - 1; ++i) {
@@ -89,9 +207,8 @@ InferenceEngine::InferenceEngine(std::shared_ptr<const GoldenTemplate> golden,
         for (int j = i + 1; j < golden_->width; ++j) {
           const auto idx =
               static_cast<std::size_t>(pair_index(i, j, golden_->width));
-          pattern[width + idx] =
-              bi * id_bit(id, j, golden_->width) -
-              golden_->mean_pair_probability[idx];
+          row[width + idx] = bi * id_bit(id, j, golden_->width) -
+                             golden_->mean_pair_probability[idx];
         }
       }
     }
@@ -123,20 +240,6 @@ bool InferenceEngine::satisfies(std::uint32_t id,
   return true;
 }
 
-double InferenceEngine::alignment_score(
-    std::uint32_t id, const std::vector<double>& delta_p) const {
-  // Correlate the candidate's centered bit pattern with the observed shift:
-  // an injected ID pushes p_i toward its own bit values, so the true ID's
-  // (bit_i - p̄_i) pattern aligns with delta_p.
-  double score = 0.0;
-  for (int i = 0; i < golden_->width; ++i) {
-    const auto b = static_cast<std::size_t>(i);
-    score += delta_p[b] *
-             (id_bit(id, i, golden_->width) - golden_->mean_probability[b]);
-  }
-  return score;
-}
-
 InferenceResult InferenceEngine::infer(const WindowSnapshot& window) const {
   CANIDS_EXPECTS(window.width() == golden_->width);
   const auto width = static_cast<std::size_t>(golden_->width);
@@ -163,202 +266,161 @@ InferenceResult InferenceEngine::infer(const WindowSnapshot& window) const {
   InferenceResult result;
   result.constraints = derive_constraints(delta_p);
 
-  auto pattern_of = [&](std::size_t pool_index) -> const std::vector<double>& {
-    return patterns_[pool_index];
-  };
-
-  // ---- Least-squares fit ------------------------------------------------------
-  // Model: injecting pool entries S with per-ID traffic fractions w_j >= 0
-  // shifts every tracked statistic linearly:
-  //   delta  ~=  sum_j w_j * pattern(x_j).
-  // Per-ID weights (not one shared lambda) matter because a saturated bus
-  // drops lower-priority members of S more often. Solved as a small
-  // non-negative least squares via active-set elimination (k <= 4).
-  auto fit = [&](const std::vector<std::size_t>& members, double& lambda_out,
-                 std::vector<double>& weights_out) {
-    const std::size_t k = members.size();
-    std::vector<bool> active(k, true);
-    std::vector<double> w(k, 0.0);
-    for (std::size_t pass = 0; pass <= k; ++pass) {
-      std::vector<std::size_t> idx;
-      for (std::size_t j = 0; j < k; ++j) {
-        if (active[j]) idx.push_back(j);
-      }
-      if (idx.empty()) break;
-      const std::size_t m = idx.size();
-      // Normal equations over active members, ridge-stabilised.
-      double a[4][5] = {};
-      for (std::size_t r = 0; r < m; ++r) {
-        const std::vector<double>& dr = pattern_of(members[idx[r]]);
-        for (std::size_t c = 0; c < m; ++c) {
-          const std::vector<double>& dc = pattern_of(members[idx[c]]);
-          double dot = 0.0;
-          for (std::size_t b = 0; b < dims; ++b) dot += dr[b] * dc[b];
-          a[r][c] = dot + (r == c ? 1e-9 : 0.0);
-        }
-        double rhs = 0.0;
-        for (std::size_t b = 0; b < dims; ++b) rhs += dr[b] * delta[b];
-        a[r][m] = rhs;
-      }
-      // Gaussian elimination with partial pivoting (m <= 4).
-      for (std::size_t col = 0; col < m; ++col) {
-        std::size_t pivot = col;
-        for (std::size_t row = col + 1; row < m; ++row) {
-          if (std::abs(a[row][col]) > std::abs(a[pivot][col])) pivot = row;
-        }
-        for (std::size_t c2 = 0; c2 <= m; ++c2) {
-          std::swap(a[col][c2], a[pivot][c2]);
-        }
-        if (std::abs(a[col][col]) < 1e-12) continue;
-        for (std::size_t row = col + 1; row < m; ++row) {
-          const double factor = a[row][col] / a[col][col];
-          for (std::size_t c2 = col; c2 <= m; ++c2) {
-            a[row][c2] -= factor * a[col][c2];
-          }
-        }
-      }
-      double solution[4] = {};
-      for (std::size_t row = m; row-- > 0;) {
-        double value = a[row][m];
-        for (std::size_t c2 = row + 1; c2 < m; ++c2) {
-          value -= a[row][c2] * solution[c2];
-        }
-        solution[row] =
-            std::abs(a[row][row]) < 1e-12 ? 0.0 : value / a[row][row];
-      }
-      // Clamp negative weights out of the active set and re-solve.
-      bool clamped = false;
-      for (std::size_t r = 0; r < m; ++r) {
-        if (solution[r] < 0.0) {
-          active[idx[r]] = false;
-          clamped = true;
-        } else {
-          w[idx[r]] = solution[r];
-        }
-      }
-      for (std::size_t j = 0; j < k; ++j) {
-        if (!active[j]) w[j] = 0.0;
-      }
-      if (!clamped) break;
-    }
-
-    double total = 0.0;
-    for (double weight : w) total += weight;
-    if (total > kLambdaMax && total > 0.0) {
-      const double scale = kLambdaMax / total;
-      for (double& weight : w) weight *= scale;
-      total = kLambdaMax;
-    }
-
-    double residual = 0.0;
+  // ---- Per-window dot products --------------------------------------------
+  // Every fit's normal equations are assembled from these, so no fit takes
+  // a dot product over the `dims` statistics. Each sums its products in
+  // index order from 0.0: reordering a sum moves the low bits of every
+  // fitted double.
+  const std::size_t pool_size = id_pool_.size();
+  std::vector<double> rhs(pool_size);       // p_n·delta
+  std::vector<double> diagonal(pool_size);  // p_n·p_n
+  for (std::size_t n = 0; n < pool_size; ++n) {
+    const double* row = pattern(n);
+    double dot_delta = 0.0;
+    double dot_self = 0.0;
     for (std::size_t b = 0; b < dims; ++b) {
-      double predicted = 0.0;
-      for (std::size_t j = 0; j < k; ++j) {
-        predicted += w[j] * pattern_of(members[j])[b];
-      }
-      const double r = delta[b] - predicted;
-      residual += r * r;
+      dot_delta += row[b] * delta[b];
+      dot_self += row[b] * row[b];
     }
-    // Members fitted to ~zero weight contribute nothing but still occupy a
-    // set slot; penalise them so leaner sets win ties.
-    for (std::size_t j = 0; j < k; ++j) {
-      if (w[j] < 1e-4) residual += kSizePenalty;
-    }
-    lambda_out = total;
-    weights_out = std::move(w);
-    return residual;
-  };
+    rhs[n] = dot_delta;
+    diagonal[n] = dot_self;
+  }
 
   // ---- Reduced candidate pool ---------------------------------------------
   // Order every pool ID by how well it explains the shift on its own (the
-  // singleton fit uses the pairwise statistics too, unlike the plain
-  // alignment score), then keep the strongest plus all constraint-
-  // satisfying candidates, capped at kSearchPool.
+  // singleton fit uses the pairwise statistics too, unlike a plain
+  // marginal alignment score), then keep the strongest plus all
+  // constraint-satisfying candidates, capped at kSearchPool.
   std::vector<std::pair<double, std::size_t>> singles;
-  singles.reserve(id_pool_.size());
-  for (std::size_t n = 0; n < id_pool_.size(); ++n) {
+  singles.reserve(pool_size);
+  for (std::size_t n = 0; n < pool_size; ++n) {
+    FitInput in;
+    in.k = 1;
+    in.rows[0] = pattern(n);
+    in.gram[0][0] = diagonal[n];
+    in.rhs[0] = rhs[n];
+    double weight = 0.0;
     double lambda = 0.0;
-    std::vector<double> weights;
-    const double residual = fit({n}, lambda, weights);
-    singles.emplace_back(residual, n);
+    singles.emplace_back(fit(in, delta.data(), dims, &weight, lambda), n);
   }
   std::stable_sort(singles.begin(), singles.end());
 
   std::vector<std::size_t> search_pool;
-  std::set<std::size_t> in_pool;
+  std::vector<bool> in_pool(pool_size, false);
   auto add_to_pool = [&](std::size_t n) {
     if (static_cast<int>(search_pool.size()) >= kSearchPool) return;
-    if (in_pool.insert(n).second) search_pool.push_back(n);
+    if (!in_pool[n]) {
+      in_pool[n] = true;
+      search_pool.push_back(n);
+    }
   };
   // Constraint-satisfying IDs get priority only when the constraints are
   // informative; an empty constraint set matches everything and must not
   // crowd the pool with low-valued IDs.
   if (!result.constraints.empty()) {
-    for (std::size_t n = 0; n < id_pool_.size(); ++n) {
+    for (std::size_t n = 0; n < pool_size; ++n) {
       if (satisfies(id_pool_[n], result.constraints)) add_to_pool(n);
     }
   }
   for (const auto& [residual, n] : singles) add_to_pool(n);
   std::sort(search_pool.begin(), search_pool.end());
 
-  // ---- Beam search over set sizes -------------------------------------------
-  std::vector<Hypothesis> beam;
-  std::vector<Hypothesis> best_per_size;  // best hypothesis of each size
-  std::vector<Hypothesis> top_sets;       // several best per size
-  std::vector<std::size_t> members;       // scratch
-  auto fit_hypothesis = [&](Hypothesis& h) {
-    members.clear();
-    for (std::uint32_t id : h.ids) {
-      const auto it = std::lower_bound(id_pool_.begin(), id_pool_.end(), id);
-      members.push_back(static_cast<std::size_t>(it - id_pool_.begin()));
-    }
-    h.residual = fit(members, h.lambda, h.weights);
-  };
-
-  for (std::size_t pi = 0; pi < search_pool.size(); ++pi) {
-    Hypothesis h;
-    h.ids = {id_pool_[search_pool[pi]]};
-    h.last_pool_index = pi;
-    fit_hypothesis(h);
-    beam.push_back(std::move(h));
+  // Gram matrix over the search pool only. The patterns are transposed so
+  // each row's entries accumulate side by side (vectorised across
+  // columns); every entry still sums its products in index order.
+  const std::size_t searched = search_pool.size();
+  std::vector<double> columns(dims * searched);
+  for (std::size_t t = 0; t < searched; ++t) {
+    const double* row = pattern(search_pool[t]);
+    for (std::size_t b = 0; b < dims; ++b) columns[b * searched + t] = row[b];
   }
-  auto shrink_beam = [&](std::vector<Hypothesis>& hs) {
-    std::stable_sort(hs.begin(), hs.end(),
-                     [](const Hypothesis& a, const Hypothesis& b) {
-                       return a.residual < b.residual;
-                     });
-    if (static_cast<int>(hs.size()) > kBeamWidth) {
-      hs.resize(static_cast<std::size_t>(kBeamWidth));
+  std::vector<double> gram(searched * searched);
+  for (std::size_t s = 0; s < searched; ++s) {
+    double* out = gram.data() + s * searched;
+    const double* row = pattern(search_pool[s]);
+    for (std::size_t b = 0; b < dims; ++b) {
+      const double x = row[b];
+      const double* column = columns.data() + b * searched;
+      for (std::size_t t = s; t < searched; ++t) out[t] += x * column[t];
     }
-  };
-  auto harvest = [&](const std::vector<Hypothesis>& hs) {
-    if (hs.empty()) return;
-    best_per_size.push_back(hs.front());
-    const auto take = std::min<std::size_t>(
-        hs.size(), static_cast<std::size_t>(kSetsPerSizeRanked));
-    top_sets.insert(top_sets.end(), hs.begin(),
-                    hs.begin() + static_cast<std::ptrdiff_t>(take));
-  };
-  shrink_beam(beam);
-  harvest(beam);
+    for (std::size_t t = s + 1; t < searched; ++t) {
+      gram[t * searched + s] = out[t];
+    }
+  }
 
-  for (int k = 2; k <= kMaxInjectedIds && !beam.empty(); ++k) {
-    std::vector<Hypothesis> next;
-    for (const Hypothesis& h : beam) {
-      for (std::size_t pi = h.last_pool_index + 1; pi < search_pool.size();
-           ++pi) {
-        Hypothesis grown;
-        grown.ids = h.ids;
-        grown.ids.push_back(id_pool_[search_pool[pi]]);
-        grown.last_pool_index = pi;
-        fit_hypothesis(grown);
-        next.push_back(std::move(grown));
+  // ---- Beam search over set sizes -------------------------------------------
+  auto fit_hypothesis = [&](Hypothesis& h) {
+    FitInput in;
+    in.k = h.size;
+    for (std::size_t r = 0; r < h.size; ++r) {
+      const std::size_t sr = h.members[r];
+      in.rows[r] = pattern(search_pool[sr]);
+      in.rhs[r] = rhs[search_pool[sr]];
+      for (std::size_t c = 0; c < h.size; ++c) {
+        in.gram[r][c] = gram[sr * searched + h.members[c]];
       }
     }
-    shrink_beam(next);
-    beam = std::move(next);
-    harvest(beam);
+    h.residual = fit(in, delta.data(), dims, h.weights, h.lambda);
+  };
+
+  std::vector<Hypothesis> beam;
+  std::vector<Hypothesis> next;           // one set size's candidates
+  std::vector<Hypothesis> best_per_size;  // best hypothesis of each size
+  std::vector<Hypothesis> top_sets;       // several best per size
+  // (residual, generation index): sorting on it reproduces a stable sort
+  // on the residual alone.
+  std::vector<std::pair<double, std::size_t>> order;
+  auto shrink_into_beam = [&] {
+    order.clear();
+    for (std::size_t i = 0; i < next.size(); ++i) {
+      order.emplace_back(next[i].residual, i);
+    }
+    const std::size_t keep =
+        std::min(order.size(), static_cast<std::size_t>(kBeamWidth));
+    std::partial_sort(order.begin(),
+                      order.begin() + static_cast<std::ptrdiff_t>(keep),
+                      order.end());
+    beam.clear();
+    for (std::size_t i = 0; i < keep; ++i) {
+      beam.push_back(next[order[i].second]);
+    }
+  };
+  auto harvest = [&] {
+    if (beam.empty()) return;
+    best_per_size.push_back(beam.front());
+    const auto take = std::min<std::size_t>(
+        beam.size(), static_cast<std::size_t>(kSetsPerSizeRanked));
+    top_sets.insert(top_sets.end(), beam.begin(),
+                    beam.begin() + static_cast<std::ptrdiff_t>(take));
+  };
+
+  for (std::size_t s = 0; s < searched; ++s) {
+    Hypothesis h;
+    h.size = 1;
+    h.members[0] = static_cast<std::uint8_t>(s);
+    fit_hypothesis(h);
+    next.push_back(h);
   }
+  shrink_into_beam();
+  harvest();
+
+  for (int k = 2; k <= kMaxInjectedIds && !beam.empty(); ++k) {
+    next.clear();
+    for (const Hypothesis& h : beam) {
+      for (std::size_t s = h.members[h.size - 1] + 1u; s < searched; ++s) {
+        Hypothesis grown = h;
+        grown.members[grown.size++] = static_cast<std::uint8_t>(s);
+        fit_hypothesis(grown);
+        next.push_back(grown);
+      }
+    }
+    shrink_into_beam();
+    harvest();
+  }
+
+  const auto id_of = [&](const Hypothesis& h, std::size_t j) {
+    return id_pool_[search_pool[h.members[j]]];
+  };
 
   // ---- Choose the set size by penalised residual ----------------------------
   if (!best_per_size.empty()) {
@@ -367,17 +429,18 @@ InferenceResult InferenceEngine::infer(const WindowSnapshot& window) const {
     for (std::size_t s = 0; s < best_per_size.size(); ++s) {
       const double score =
           best_per_size[s].residual +
-          kSizePenalty *
-              static_cast<double>(best_per_size[s].ids.size());
+          kSizePenalty * static_cast<double>(best_per_size[s].size);
       if (score < best_score) {
         best_score = score;
         best_index = s;
       }
     }
     const Hypothesis& chosen = best_per_size[best_index];
-    result.best_set = chosen.ids;
+    for (std::size_t j = 0; j < chosen.size; ++j) {
+      result.best_set.push_back(id_of(chosen, j));
+    }
     std::sort(result.best_set.begin(), result.best_set.end());
-    result.estimated_num_ids = static_cast<int>(chosen.ids.size());
+    result.estimated_num_ids = static_cast<int>(chosen.size);
     result.estimated_injection_fraction = chosen.lambda;
     result.fit_residual = chosen.residual;
   }
@@ -396,10 +459,9 @@ InferenceResult InferenceEngine::infer(const WindowSnapshot& window) const {
     const double scale = std::max(best_residual, 1e-8);
     for (const Hypothesis& h : top_sets) {
       const double quality = std::exp(-(h.residual - best_residual) / scale);
-      for (std::size_t j = 0; j < h.ids.size(); ++j) {
-        const double member_weight =
-            j < h.weights.size() ? std::max(h.weights[j], 0.0) : 0.0;
-        marginal[h.ids[j]] += quality * (1e-3 + member_weight);
+      for (std::size_t j = 0; j < h.size; ++j) {
+        marginal[id_of(h, j)] +=
+            quality * (1e-3 + std::max(h.weights[j], 0.0));
       }
     }
   }

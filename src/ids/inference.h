@@ -62,32 +62,30 @@ class InferenceEngine {
                   InferenceConfig config = {});
 
   /// Infer the injected identifier(s) from one (typically alerted) window.
+  /// Immutable after construction and allocation-local per call, so one
+  /// engine can serve any number of streams and threads.
   [[nodiscard]] InferenceResult infer(const WindowSnapshot& window) const;
-
-  [[nodiscard]] const std::vector<std::uint32_t>& id_pool() const noexcept {
-    return id_pool_;
-  }
-  [[nodiscard]] const InferenceConfig& config() const noexcept {
-    return config_;
-  }
-
-  /// Matched-filter alignment between candidate `id` and shift vector
-  /// `delta_p`; exposed for diagnostics and tests.
-  [[nodiscard]] double alignment_score(
-      std::uint32_t id, const std::vector<double>& delta_p) const;
 
  private:
   [[nodiscard]] std::vector<BitConstraint> derive_constraints(
       const std::vector<double>& delta_p) const;
   [[nodiscard]] bool satisfies(std::uint32_t id,
                                const std::vector<BitConstraint>& cs) const;
+  /// Pool entry `n`'s feature pattern (`stride_` doubles).
+  [[nodiscard]] const double* pattern(std::size_t n) const noexcept {
+    return patterns_.data() + n * stride_;
+  }
 
   std::shared_ptr<const GoldenTemplate> golden_;
   std::vector<std::uint32_t> id_pool_;  // ascending
   InferenceConfig config_;
+  /// Pattern length: the width's marginal features, then the template's
+  /// pair features (a window without pairs uses only the first `width`).
+  std::size_t stride_ = 0;
   /// Per-pool-ID centered feature patterns against the template (marginal
-  /// and, when available, pairwise co-occurrence features).
-  std::vector<std::vector<double>> patterns_;
+  /// and, when available, pairwise co-occurrence features), one row of
+  /// `stride_` per pool entry.
+  std::vector<double> patterns_;
 };
 
 /// Hit-rate scoring: fraction of the true injected IDs present in the

@@ -267,7 +267,7 @@ std::string describe_section(const ModelBundle::Section& section) {
 StoredModels load_models_file(const std::filesystem::path& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) {
-    throw std::runtime_error("cannot read " + path.string());
+    throw UnreadableModelFile("cannot read " + path.string());
   }
   char magic[kBundleMagic.size()] = {};
   in.read(magic, sizeof magic);

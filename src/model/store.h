@@ -13,6 +13,7 @@
 #include <filesystem>
 #include <iosfwd>
 #include <memory>
+#include <stdexcept>
 #include <string_view>
 
 #include "baselines/interval_ids.h"
@@ -57,10 +58,18 @@ struct StoredModels {
 /// windows, pairs yes"). Throws on unknown section names.
 [[nodiscard]] std::string describe_section(const ModelBundle::Section& section);
 
-/// Load trained models from a ModelBundle file. Throws std::runtime_error
-/// when the file cannot be opened, is not a bundle (e.g. a bare
-/// golden-template file from before bundles existed — re-run `canids train`
-/// to write one), or does not parse.
+/// load_models_file's error for a file that cannot be opened, apart from
+/// the plain std::runtime_error of a file that opened but is unusable, so
+/// a caller can tell a missing input from a bad one.
+class UnreadableModelFile : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
+
+/// Load trained models from a ModelBundle file. Throws UnreadableModelFile
+/// when the file cannot be opened, and std::runtime_error when it is not a
+/// bundle (e.g. a bare golden-template file from before bundles existed —
+/// re-run `canids train` to write one) or does not parse.
 [[nodiscard]] StoredModels load_models_file(
     const std::filesystem::path& path);
 

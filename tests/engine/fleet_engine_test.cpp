@@ -133,7 +133,9 @@ struct FleetWorld {
 
 /// The acceptance bar for every registered backend: a sharded fleet run
 /// produces byte-identical per-stream verdicts to a sequential run,
-/// whatever the shard count.
+/// whatever the shard count. With the streams' pool on the prototype too,
+/// every bit-entropy stream shares the prototype's inference engine across
+/// shards; without it, each stream builds its own.
 TEST(FleetEngineTest, ShardedRunMatchesSequentialForEveryRegisteredBackend) {
   const FleetWorld world;
   std::map<std::string, std::vector<can::TimedFrame>> traces;
@@ -147,32 +149,36 @@ TEST(FleetEngineTest, ShardedRunMatchesSequentialForEveryRegisteredBackend) {
     const std::unique_ptr<analysis::DetectorBackend> reference =
         analysis::make_detector(name, world.backend_options());
 
-    for (const int shards : {1, 3, 8}) {
-      FleetConfig config;
-      config.shards = shards;
-      config.queue_capacity = 256;  // small queues: exercise backpressure
-      config.collect_verdicts = true;
+    for (const bool pooled_prototype : {false, true}) {
+      for (const int shards : {1, 3, 8}) {
+        FleetConfig config;
+        config.shards = shards;
+        config.queue_capacity = 256;  // small queues: exercise backpressure
+        config.collect_verdicts = true;
 
-      FleetEngine engine(
-          analysis::make_detector(name, world.backend_options()), config);
-      std::vector<NamedSource> sources;
-      for (const auto& [key, frames] : traces) {
-        sources.push_back(NamedSource{
-            key, std::make_unique<trace::MemorySource>(frames), world.pool});
-      }
-      FleetRunResult run = run_fleet(engine, std::move(sources));
-      ASSERT_TRUE(run.errors.empty());
-      ASSERT_EQ(run.streams.size(), traces.size());
+        analysis::DetectorOptions options = world.backend_options();
+        if (pooled_prototype) options.id_pool = world.pool;
+        FleetEngine engine(analysis::make_detector(name, options), config);
+        std::vector<NamedSource> sources;
+        for (const auto& [key, frames] : traces) {
+          sources.push_back(NamedSource{
+              key, std::make_unique<trace::MemorySource>(frames), world.pool});
+        }
+        FleetRunResult run = run_fleet(engine, std::move(sources));
+        ASSERT_TRUE(run.errors.empty());
+        ASSERT_EQ(run.streams.size(), traces.size());
 
-      for (const StreamResult& stream : run.streams) {
-        const std::vector<analysis::WindowVerdict> expected =
-            sequential_verdicts(*reference, world.pool,
-                                traces.at(stream.key));
-        EXPECT_EQ(stream.verdicts, expected)
-            << "backend " << name << ", stream " << stream.key
-            << " diverged at " << shards << " shards";
-        EXPECT_EQ(stream.counters.frames, traces.at(stream.key).size());
-        EXPECT_EQ(stream.counters.parse_errors, 0u);
+        for (const StreamResult& stream : run.streams) {
+          const std::vector<analysis::WindowVerdict> expected =
+              sequential_verdicts(*reference, world.pool,
+                                  traces.at(stream.key));
+          EXPECT_EQ(stream.verdicts, expected)
+              << "backend " << name << ", stream " << stream.key
+              << " diverged at " << shards << " shards"
+              << (pooled_prototype ? " (pooled prototype)" : "");
+          EXPECT_EQ(stream.counters.frames, traces.at(stream.key).size());
+          EXPECT_EQ(stream.counters.parse_errors, 0u);
+        }
       }
     }
   }

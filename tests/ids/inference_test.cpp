@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <map>
 #include <memory>
 #include <vector>
@@ -164,25 +165,75 @@ TEST(InferenceEngineTest, HigherInjectionEasierThanLower) {
             light.estimated_injection_fraction);
 }
 
-TEST(InferenceEngineTest, AlignmentScorePrefersTrueId) {
-  const InferenceWorld world;
-  InferenceEngine engine(world.golden(), world.pool());
-  const std::uint32_t injected = world.pool()[10];
-  const WindowSnapshot attacked = world.make_window({{injected, 200}});
-  std::vector<double> delta(11);
-  for (int i = 0; i < 11; ++i) {
-    delta[static_cast<std::size_t>(i)] =
-        attacked.probabilities[static_cast<std::size_t>(i)] -
-        world.golden()->mean_probability[static_cast<std::size_t>(i)];
-  }
-  const double true_score = engine.alignment_score(injected, delta);
-  int better = 0;
-  for (std::uint32_t other : world.pool()) {
-    if (other != injected && engine.alignment_score(other, delta) > true_score) {
-      ++better;
+// Every output field of infer() on seeded windows that reach each stage of
+// the search: one, two and four injected IDs; a 223-ID pool, larger than
+// the 96-ID search pool, so both the search-pool cap and the beam's
+// truncation bind; a pairs template fed a window without pairs; and a
+// clean window. Rankings and best sets are literals. One FNV-1a digest
+// covers the set sizes, every constraint and the IEEE-754 bits of every
+// fitted double, so a change in summation order shows even where the
+// rankings survive it.
+TEST(InferenceEngineTest, SeededResultsArePinned) {
+  const InferenceWorld plain(99, 60, /*with_pairs=*/false);
+  const InferenceWorld pairs(123, 80, /*with_pairs=*/true);
+  const InferenceWorld large(2024, 223, /*with_pairs=*/true);
+  const InferenceEngine plain_engine(plain.golden(), plain.pool());
+  const InferenceEngine pairs_engine(pairs.golden(), pairs.pool());
+  const InferenceEngine large_engine(large.golden(), large.pool());
+  const std::vector<std::uint32_t>& p = pairs.pool();
+  const std::vector<std::uint32_t>& l = large.pool();
+
+  WindowSnapshot without_pairs = pairs.make_window({{p[33], 150}}, 7);
+  without_pairs.pair_probabilities.clear();
+  const std::vector<InferenceResult> results = {
+      plain_engine.infer(plain.make_window({{plain.pool()[17], 150}}, 3)),
+      pairs_engine.infer(pairs.make_window({{p[5], 110}, {p[52], 110}}, 4)),
+      pairs_engine.infer(pairs.make_window(
+          {{p[3], 80}, {p[21], 80}, {p[44], 80}, {p[70], 80}}, 5)),
+      large_engine.infer(large.make_window(
+          {{l[12], 120}, {l[64], 120}, {l[131], 120}, {l[200], 120}}, 6)),
+      pairs_engine.infer(without_pairs),
+      pairs_engine.infer(pairs.make_window({}, 777)),
+  };
+
+  const std::vector<std::vector<std::uint32_t>> ranked = {
+      {0x2A7, 0x069, 0x4F4, 0x5C3, 0x345, 0x5DC, 0x3D2, 0x366, 0x573, 0x548},
+      {0x534, 0x057, 0x5DD, 0x75A, 0x55E, 0x7D4, 0x579, 0x545, 0x773, 0x74E},
+      {0x1F9, 0x6C5, 0x421, 0x04D, 0x2C5, 0x6A0, 0x0E1, 0x603, 0x64F, 0x545},
+      {0x055, 0x243, 0x742, 0x4AE, 0x746, 0x42E, 0x48E, 0x476, 0x54A, 0x540},
+      {0x29D, 0x06A, 0x4DB, 0x373, 0x313, 0x02A, 0x3FA, 0x5EB, 0x51B, 0x773},
+      {0x690, 0x75A, 0x470, 0x2B5, 0x4F4, 0x7BA, 0x0D5, 0x297, 0x670, 0x7B8},
+  };
+  const std::vector<std::vector<std::uint32_t>> best_sets = {
+      {0x2A7},
+      {0x057, 0x534, 0x5DD},
+      {0x04D, 0x1F9, 0x421, 0x6C5},
+      {0x055, 0x243, 0x4AE, 0x742},
+      {0x29D},
+      {0x690},
+  };
+  std::uint64_t digest = 0xCBF29CE484222325ULL;
+  const auto mix = [&digest](std::uint64_t value, int bytes) {
+    for (int i = 0; i < bytes; ++i) {
+      digest ^= (value >> (8 * i)) & 0xFFU;
+      digest *= 0x100000001B3ULL;
     }
+  };
+  ASSERT_EQ(results.size(), ranked.size());
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    const InferenceResult& result = results[i];
+    EXPECT_EQ(result.ranked_candidates, ranked[i]) << "window " << i;
+    EXPECT_EQ(result.best_set, best_sets[i]) << "window " << i;
+    mix(static_cast<std::uint32_t>(result.estimated_num_ids), 4);
+    for (const BitConstraint& c : result.constraints) {
+      mix(static_cast<std::uint32_t>(c.bit), 4);
+      mix(c.injected_bit ? 1U : 0U, 1);
+      mix(std::bit_cast<std::uint64_t>(c.shift), 8);
+    }
+    mix(std::bit_cast<std::uint64_t>(result.estimated_injection_fraction), 8);
+    mix(std::bit_cast<std::uint64_t>(result.fit_residual), 8);
   }
-  EXPECT_LT(better, 5);  // true ID is among the best aligned
+  EXPECT_EQ(digest, 0x87187C0C52305C8EULL);
 }
 
 TEST(InferenceEngineTest, EstimatedLambdaTracksInjectedFraction) {

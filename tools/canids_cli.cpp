@@ -47,7 +47,10 @@
 // on the first windows of each stream. Malformed capture lines are counted
 // (and surfaced) instead of aborting the run; unknown flags or detector
 // names, and flag values outside their contract, print usage / the
-// registry listing and exit 1.
+// registry listing and exit 1. A model bundle that cannot be opened exits
+// 66 from every command that reads one; one that opened but is malformed,
+// of another format version, or lacks the golden template a detector
+// needs exits 65.
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -456,23 +459,18 @@ struct CliDetector {
 /// (it must carry a golden template), parse --detector --alpha --window
 /// --calibrate --no-pairs out of `args` on top of `options`, and build the
 /// registry backend with every model the bundle carries (baselines it lacks
-/// self-calibrate on each stream's first windows). nullopt after an error
-/// message when the bundle is unusable; an unknown detector name prints the
+/// self-calibrate on each stream's first windows). A bundle that cannot be
+/// opened throws model::UnreadableModelFile (exit 66); one that is
+/// malformed, of another format version or without a golden template
+/// throws std::runtime_error (exit 65). An unknown detector name prints the
 /// registry listing and throws UsageError.
-std::optional<CliDetector> load_detector(
-    const std::string& models_path, std::vector<std::string>& args,
-    analysis::DetectorOptions options = {}) {
-  model::StoredModels models;
-  try {
-    models = model::load_models_file(models_path);
-  } catch (const std::runtime_error& e) {
-    std::fprintf(stderr, "%s\n", e.what());
-    return std::nullopt;
-  }
+CliDetector load_detector(const std::string& models_path,
+                          std::vector<std::string>& args,
+                          analysis::DetectorOptions options = {}) {
+  const model::StoredModels models = model::load_models_file(models_path);
   if (!models.golden) {
-    std::fprintf(stderr, "%s: bundle has no golden-template section\n",
-                 models_path.c_str());
-    return std::nullopt;
+    throw std::runtime_error(models_path +
+                             ": bundle has no golden-template section");
   }
 
   CliDetector detector;
@@ -563,8 +561,7 @@ int cmd_detect(const std::string& models_path, const std::string& capture_path,
   if (const auto rank = arg_integer(args, "--rank", 1, 2048)) {
     base.pipeline.inference.rank = static_cast<int>(*rank);
   }
-  const auto detector = load_detector(models_path, args, base);
-  if (!detector) return 66;
+  const CliDetector detector = load_detector(models_path, args, base);
   reject_leftovers(args);
 
   auto [frames, parse_errors] = read_capture_lenient(capture_path);
@@ -577,12 +574,12 @@ int cmd_detect(const std::string& models_path, const std::string& capture_path,
       pool_set.insert(frame.frame.id().raw());
     }
   }
-  if (pool_set.empty() && detector->name == "bit-entropy") {
+  if (pool_set.empty() && detector.name == "bit-entropy") {
     std::fprintf(stderr, "capture has no standard-ID frames\n");
     return 65;
   }
   const std::unique_ptr<analysis::DetectorBackend> backend =
-      detector->backend->clone_for_stream({pool_set.begin(), pool_set.end()});
+      detector.backend->clone_for_stream({pool_set.begin(), pool_set.end()});
 
   auto report = [&](const analysis::WindowVerdict& verdict) {
     if (verdict.alert) print_alert(nullptr, verdict);
@@ -604,9 +601,9 @@ int cmd_detect(const std::string& models_path, const std::string& capture_path,
       "%llu/%llu windows alerted (detector=%s, %llu evaluated, window=%.2fs)\n",
       static_cast<unsigned long long>(counters.alerts),
       static_cast<unsigned long long>(counters.windows_closed),
-      detector->name.c_str(),
+      detector.name.c_str(),
       static_cast<unsigned long long>(counters.windows_evaluated),
-      util::to_seconds(detector->options.pipeline.window.duration));
+      util::to_seconds(detector.options.pipeline.window.duration));
   if (parse_errors > 0 || counters.dropped_frames > 0) {
     std::printf("ingest: %llu malformed lines skipped, %llu frames dropped\n",
                 static_cast<unsigned long long>(parse_errors),
@@ -650,8 +647,7 @@ std::vector<std::filesystem::path> collect_captures(
 int cmd_fleet(const std::string& models_path,
               const std::vector<std::string>& inputs,
               std::vector<std::string> args) {
-  auto detector = load_detector(models_path, args);
-  if (!detector) return 66;
+  CliDetector detector = load_detector(models_path, args);
 
   engine::FleetConfig config = arg_fleet_config(args);
   const int producers =
@@ -686,7 +682,7 @@ int cmd_fleet(const std::string& models_path,
     }
   }
 
-  engine::FleetEngine fleet(std::move(detector->backend), config);
+  engine::FleetEngine fleet(std::move(detector.backend), config);
   // Streaming handler instead of retained alerts: long runs stay at
   // constant memory. Shard workers call it concurrently, so the JSONL
   // sink is mutex-guarded.
@@ -749,7 +745,7 @@ int cmd_fleet(const std::string& models_path,
   std::printf(
       "%zu streams on %d shards (detector=%s, generation=%llu): %llu "
       "frames, %llu windows, %llu alerts in %.2fs (%.0f frames/s)\n",
-      run.streams.size(), fleet.shards(), detector->name.c_str(),
+      run.streams.size(), fleet.shards(), detector.name.c_str(),
       static_cast<unsigned long long>(fleet.model_generation()),
       static_cast<unsigned long long>(totals.frames),
       static_cast<unsigned long long>(totals.windows_closed),
@@ -807,8 +803,7 @@ extern "C" void serve_signal_handler(int signum) {
 }
 
 int cmd_serve(const std::string& models_path, std::vector<std::string> args) {
-  auto detector = load_detector(models_path, args);
-  if (!detector) return 66;
+  CliDetector detector = load_detector(models_path, args);
 
   engine::FleetConfig config = arg_fleet_config(args);
   const std::string on_full =
@@ -850,7 +845,7 @@ int cmd_serve(const std::string& models_path, std::vector<std::string> args) {
         "serve needs at least one data listener: --uds PATH and/or --port N"};
   }
 
-  engine::FleetEngine fleet(std::move(detector->backend), config);
+  engine::FleetEngine fleet(std::move(detector.backend), config);
   serve::ServeServer server(fleet, serve_config);
   if (!quiet) {
     if (!serve_config.uds_path.empty()) {
@@ -870,7 +865,7 @@ int cmd_serve(const std::string& models_path, std::vector<std::string> args) {
     std::printf(
         "detector=%s shards=%d on-full=%s — SIGHUP reloads models, SIGUSR1 "
         "dumps status, SIGINT/SIGTERM shut down\n",
-        detector->name.c_str(), fleet.shards(), on_full.c_str());
+        detector.name.c_str(), fleet.shards(), on_full.c_str());
     std::fflush(stdout);
   }
 
@@ -1487,6 +1482,9 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "error: %s\n", e.message.c_str());
     print_usage(stderr);
     return 1;
+  } catch (const model::UnreadableModelFile& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 66;  // EX_NOINPUT
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 65;  // EX_DATAERR
