@@ -202,6 +202,7 @@ FleetEngine::Stream FleetEngine::open_stream(
   {
     const std::lock_guard<std::mutex> lock(streams_mutex_);
     streams_.push_back(std::move(state_owner));
+    stream_count_.store(streams_.size(), std::memory_order_release);
   }
   Shard& shard = *shards_[static_cast<std::size_t>(shard_index)];
   if (!started_.load(std::memory_order_acquire)) {

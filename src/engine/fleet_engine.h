@@ -204,8 +204,11 @@ class FleetEngine {
 
   [[nodiscard]] int shards() const noexcept { return shard_count_; }
   [[nodiscard]] int shard_of(std::string_view key) const noexcept;
+  /// Streams opened so far. Safe from any thread, also while another
+  /// thread opens streams; lock-free, so a caller polling it does not
+  /// contend with open_stream for streams_mutex_.
   [[nodiscard]] std::size_t stream_count() const noexcept {
-    return streams_.size();
+    return stream_count_.load(std::memory_order_acquire);
   }
   /// The prototype backend streams are cloned from.
   [[nodiscard]] const analysis::DetectorBackend& detector() const noexcept {
@@ -247,6 +250,8 @@ class FleetEngine {
   std::vector<std::unique_ptr<StreamState>> streams_;
   /// Guards streams_ (open_stream appends while status() iterates).
   mutable std::mutex streams_mutex_;
+  /// streams_.size(), published by open_stream for stream_count().
+  std::atomic<std::size_t> stream_count_{0};
   /// unique_ptr: Shard owns a mutex + atomic, so it cannot move.
   std::vector<std::unique_ptr<Shard>> shards_;
   AlertSink alerts_;

@@ -9,7 +9,9 @@
 #include <algorithm>
 #include <atomic>
 #include <cstddef>
+#include <memory>
 #include <optional>
+#include <type_traits>
 #include <vector>
 
 #include "util/contracts.h"
@@ -27,17 +29,29 @@ namespace canids::engine {
 /// (other) thread the pop side; no locks, no allocation after construction.
 /// One slot is sacrificed to distinguish full from empty, so the usable
 /// capacity is `capacity() - 1`.
+///
+/// The slots are raw storage: the producer constructs each element before
+/// the consumer can see it, so construction writes nothing to the ring and
+/// its pages are first touched by the producer, not by whoever opens the
+/// stream (a 16k-slot ring is 256 KiB).
 template <typename T>
 class SpscQueue {
+  static_assert(std::is_trivially_copyable_v<T> &&
+                    std::is_trivially_destructible_v<T>,
+                "slots are overwritten in place and never destroyed");
+
  public:
   /// `min_capacity` is rounded up to a power of two.
   explicit SpscQueue(std::size_t min_capacity = 1024)
-      : slots_(ceil_pow2(min_capacity + 1)), mask_(slots_.size() - 1) {}
+      : capacity_(ceil_pow2(min_capacity + 1)),
+        slots_(std::allocator<T>().allocate(capacity_)),
+        mask_(capacity_ - 1) {}
+  ~SpscQueue() { std::allocator<T>().deallocate(slots_, capacity_); }
 
   SpscQueue(const SpscQueue&) = delete;
   SpscQueue& operator=(const SpscQueue&) = delete;
 
-  [[nodiscard]] std::size_t capacity() const noexcept { return slots_.size(); }
+  [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
 
   /// Producer side. Returns false when the queue is full.
   bool try_push(const T& value) {
@@ -47,7 +61,7 @@ class SpscQueue {
       head_cache_ = head_.load(std::memory_order_acquire);
       if (next == head_cache_) return false;
     }
-    slots_[tail] = value;
+    std::construct_at(slots_ + tail, value);
     tail_.store(next, std::memory_order_release);
     return true;
   }
@@ -56,14 +70,14 @@ class SpscQueue {
   /// index publish. Returns how many fit (0 when full).
   std::size_t try_push_batch(const T* values, std::size_t count) {
     const std::size_t tail = tail_.load(std::memory_order_relaxed);
-    std::size_t free = (head_cache_ + slots_.size() - 1 - tail) & mask_;
+    std::size_t free = (head_cache_ + capacity_ - 1 - tail) & mask_;
     if (free < count) {
       head_cache_ = head_.load(std::memory_order_acquire);
-      free = (head_cache_ + slots_.size() - 1 - tail) & mask_;
+      free = (head_cache_ + capacity_ - 1 - tail) & mask_;
     }
     const std::size_t pushed = std::min(free, count);
     for (std::size_t i = 0; i < pushed; ++i) {
-      slots_[(tail + i) & mask_] = values[i];
+      std::construct_at(slots_ + ((tail + i) & mask_), values[i]);
     }
     if (pushed > 0) {
       tail_.store((tail + pushed) & mask_, std::memory_order_release);
@@ -112,7 +126,8 @@ class SpscQueue {
   }
 
  private:
-  std::vector<T> slots_;
+  std::size_t capacity_;
+  T* slots_;
   std::size_t mask_;
 
   alignas(64) std::atomic<std::size_t> head_{0};  // next slot to pop

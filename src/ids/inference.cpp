@@ -31,8 +31,8 @@ constexpr double kLambdaMax = 0.75;
 /// size (keeps the fit from always preferring larger sets).
 constexpr double kSizePenalty = 2e-4;
 
-// The active-set solver uses fixed 4x5 scratch; Table I also tops out at
-// four injected identifiers.
+// The fits use fixed scratch for up to four members; Table I also tops out
+// at four injected identifiers.
 static_assert(kBeamWidth > 0 && kMaxInjectedIds >= 1 &&
               kMaxInjectedIds <= 4 && kSearchPool >= kMaxInjectedIds &&
               kLambdaMax > 0.0);
@@ -43,13 +43,22 @@ static_assert(kBeamWidth > 0 && kMaxInjectedIds >= 1 &&
 }
 
 /// One least-squares fit's inputs, gathered from the per-window dot
-/// products: the members' pattern rows, their Gram entries p_i·p_j and
-/// right-hand sides p_i·delta.
+/// products: the members' pattern rows and norms ‖p_i‖, their Gram entries
+/// p_i·p_j and right-hand sides p_i·delta.
 struct FitInput {
-  std::size_t k = 0;
   const double* rows[kMaxInjectedIds] = {};
+  double norms[kMaxInjectedIds] = {};
   double gram[kMaxInjectedIds][kMaxInjectedIds] = {};
   double rhs[kMaxInjectedIds] = {};
+};
+
+/// The shift vector every fit explains, with its squared norm (summed in
+/// index order) and norm, which the residual floor reads.
+struct Observation {
+  const double* delta = nullptr;
+  std::size_t dims = 0;
+  double norm_sq = 0.0;
+  double norm = 0.0;
 };
 
 /// A partial injected-set hypothesis during beam search, as a flat record.
@@ -59,9 +68,17 @@ struct Hypothesis {
   double weights[kMaxInjectedIds] = {};        // fitted per-ID traffic fractions
   double lambda = 0.0;
   double residual = 0.0;
+  std::size_t generation = 0;  // position among its set size's candidates
 };
 
 static_assert(kSearchPool <= 256, "search-pool indices are stored as bytes");
+
+/// Beam order: by residual, ties by generation index, which is what a
+/// stable sort on the residual alone gives.
+bool ranks_before(const Hypothesis& a, const Hypothesis& b) {
+  if (a.residual != b.residual) return a.residual < b.residual;
+  return a.generation < b.generation;
+}
 
 // Model: injecting pool entries S with per-ID traffic fractions w_j >= 0
 // shifts every tracked statistic linearly:
@@ -69,12 +86,63 @@ static_assert(kSearchPool <= 256, "search-pool indices are stored as bytes");
 // Per-ID weights (not one shared lambda) matter because a saturated bus
 // drops lower-priority members of S more often. Solved as a small
 // non-negative least squares via active-set elimination (k <= 4) on the
-// ridge-stabilised normal equations; returns the residual over `dims`
-// statistics, penalised per near-zero member. K = in.k: a constant member
-// count lets the compiler unroll every loop over members.
+// ridge-stabilised normal equations.
+
+/// Gaussian elimination with partial pivoting over the active members
+/// `idx[0..m)`. M is the largest count this call may see; a constant count
+/// lets the compiler unroll every loop.
+template <std::size_t M>
+void solve_active(const FitInput& in, const std::size_t* idx, std::size_t m,
+                  double* solution) {
+  if constexpr (M > 1) {
+    if (m < M) {
+      solve_active<M - 1>(in, idx, m, solution);
+      return;
+    }
+  }
+  double a[M][M + 1];
+  for (std::size_t r = 0; r < M; ++r) {
+    for (std::size_t c = 0; c < M; ++c) {
+      a[r][c] = in.gram[idx[r]][idx[c]] + (r == c ? 1e-9 : 0.0);
+    }
+    a[r][M] = in.rhs[idx[r]];
+  }
+  for (std::size_t col = 0; col < M; ++col) {
+    std::size_t pivot = col;
+    for (std::size_t row = col + 1; row < M; ++row) {
+      if (std::abs(a[row][col]) > std::abs(a[pivot][col])) pivot = row;
+    }
+    if (pivot != col) {
+      for (std::size_t c2 = 0; c2 <= M; ++c2) {
+        std::swap(a[col][c2], a[pivot][c2]);
+      }
+    }
+    if (std::abs(a[col][col]) < 1e-12) continue;
+    for (std::size_t row = col + 1; row < M; ++row) {
+      const double factor = a[row][col] / a[col][col];
+      for (std::size_t c2 = col; c2 <= M; ++c2) {
+        a[row][c2] -= factor * a[col][c2];
+      }
+    }
+  }
+  for (std::size_t row = M; row-- > 0;) {
+    double value = a[row][M];
+    for (std::size_t c2 = row + 1; c2 < M; ++c2) {
+      value -= a[row][c2] * solution[c2];
+    }
+    solution[row] = std::abs(a[row][row]) < 1e-12 ? 0.0 : value / a[row][row];
+  }
+}
+
+/// The non-negative weights of K members: solve, clamp negative weights out
+/// of the active set and re-solve, then cap their total at kLambdaMax.
+/// Returns false, leaving `weights_out` unset, when a grown set's first
+/// pass clamps its new member K-1 alone: every later pass then solves the
+/// parent's own system over the parent's members, so the fit is the
+/// parent's weights with 0 for the new member (adding 0.0 moves no sum).
 template <std::size_t K>
-double fit_members(const FitInput& in, const double* delta, std::size_t dims,
-                   double* weights_out, double& lambda_out) {
+bool solve_weights(const FitInput& in, double* weights_out,
+                   double& lambda_out) {
   bool dropped[K] = {};  // clamped out of the active set
   double w[K] = {};
   for (std::size_t pass = 0; pass <= K; ++pass) {
@@ -84,41 +152,15 @@ double fit_members(const FitInput& in, const double* delta, std::size_t dims,
       if (!dropped[j]) idx[m++] = j;
     }
     if (m == 0) break;
-    // Normal equations over active members, ridge-stabilised.
-    double a[4][5] = {};
-    for (std::size_t r = 0; r < m; ++r) {
-      for (std::size_t c = 0; c < m; ++c) {
-        a[r][c] = in.gram[idx[r]][idx[c]] + (r == c ? 1e-9 : 0.0);
-      }
-      a[r][m] = in.rhs[idx[r]];
-    }
-    // Gaussian elimination with partial pivoting (m <= 4).
-    for (std::size_t col = 0; col < m; ++col) {
-      std::size_t pivot = col;
-      for (std::size_t row = col + 1; row < m; ++row) {
-        if (std::abs(a[row][col]) > std::abs(a[pivot][col])) pivot = row;
-      }
-      for (std::size_t c2 = 0; c2 <= m; ++c2) {
-        std::swap(a[col][c2], a[pivot][c2]);
-      }
-      if (std::abs(a[col][col]) < 1e-12) continue;
-      for (std::size_t row = col + 1; row < m; ++row) {
-        const double factor = a[row][col] / a[col][col];
-        for (std::size_t c2 = col; c2 <= m; ++c2) {
-          a[row][c2] -= factor * a[col][c2];
-        }
+    double solution[K] = {};
+    solve_active<K>(in, idx, m, solution);
+    if constexpr (K > 1) {
+      if (pass == 0 && solution[K - 1] < 0.0 &&
+          std::none_of(solution, solution + K - 1,
+                       [](double x) { return x < 0.0; })) {
+        return false;
       }
     }
-    double solution[4] = {};
-    for (std::size_t row = m; row-- > 0;) {
-      double value = a[row][m];
-      for (std::size_t c2 = row + 1; c2 < m; ++c2) {
-        value -= a[row][c2] * solution[c2];
-      }
-      solution[row] =
-          std::abs(a[row][row]) < 1e-12 ? 0.0 : value / a[row][row];
-    }
-    // Clamp negative weights out of the active set and re-solve.
     bool clamped = false;
     for (std::size_t r = 0; r < m; ++r) {
       if (solution[r] < 0.0) {
@@ -141,12 +183,21 @@ double fit_members(const FitInput& in, const double* delta, std::size_t dims,
     for (std::size_t j = 0; j < K; ++j) w[j] *= scale;
     total = kLambdaMax;
   }
+  std::copy(w, w + K, weights_out);
+  lambda_out = total;
+  return true;
+}
 
+/// The residual every output reports: the direct sum over the `dims`
+/// statistics, Σ_b (delta_b − Σ_j w_j·p_j[b])², plus the penalties.
+template <std::size_t K>
+double direct_residual(const FitInput& in, const Observation& obs,
+                       const double* w) {
   double residual = 0.0;
-  for (std::size_t b = 0; b < dims; ++b) {
+  for (std::size_t b = 0; b < obs.dims; ++b) {
     double predicted = 0.0;
     for (std::size_t j = 0; j < K; ++j) predicted += w[j] * in.rows[j][b];
-    const double r = delta[b] - predicted;
+    const double r = obs.delta[b] - predicted;
     residual += r * r;
   }
   // Members fitted to ~zero weight contribute nothing but still occupy a
@@ -154,19 +205,121 @@ double fit_members(const FitInput& in, const double* delta, std::size_t dims,
   for (std::size_t j = 0; j < K; ++j) {
     if (w[j] < 1e-4) residual += kSizePenalty;
   }
-  std::copy(w, w + K, weights_out);
-  lambda_out = total;
   return residual;
 }
 
-double fit(const FitInput& in, const double* delta, std::size_t dims,
-           double* weights_out, double& lambda_out) {
-  switch (in.k) {
-    case 1: return fit_members<1>(in, delta, dims, weights_out, lambda_out);
-    case 2: return fit_members<2>(in, delta, dims, weights_out, lambda_out);
-    case 3: return fit_members<3>(in, delta, dims, weights_out, lambda_out);
-    default: return fit_members<4>(in, delta, dims, weights_out, lambda_out);
+/// A lower bound on direct_residual() from K² + K products instead of
+/// dims·K. In exact arithmetic the direct residual equals the Gram form
+///   ‖δ‖² − 2·Σ_j w_j·c_j + Σ_ij w_i·G_ij·w_j + penalties,
+/// c_j = p_j·δ, G_ij = p_i·p_j; both forms are evaluated at the same
+/// fitted w, so they differ only by rounding. Let u = 2⁻⁵³, n = dims (66
+/// for 11-bit identifiers with pairs), γ_m ≈ m·u, and
+/// S = (‖δ‖ + Σ_j |w_j|·‖p_j‖)², which bounds Σ_b a_b² for
+/// a_b = |δ_b| + Σ_j |w_j·p_j[b]| by the triangle inequality:
+///   * direct form: each δ_b − Σ_j w_j·p_j[b] is within γ_{K+1}·a_b, and
+///     squaring and summing n terms adds γ_n, so its error is below
+///     (n + 2K + 3)·u·S ≤ 77u·S;
+///   * Gram form: ‖δ‖², c and G carry γ_n·S between them and the 1 + K + K²
+///     terms add γ_{K²+K+3}·S, so its error is below (n + 23)·u·S ≤ 89u·S;
+///   * the penalties add at most K roundings of u·(S + penalties).
+/// Either form's error is thus below 1e-14·(S + penalties), and the two
+/// differ by less than 2e-14·(S + penalties). Subtracting the margin
+/// 1e-10·(S + penalties), ~10⁴ times either bound, leaves a floor that
+/// never exceeds the direct residual, rounding of the floor included.
+template <std::size_t K>
+double residual_floor(const FitInput& in, const Observation& obs,
+                      const double* w) {
+  double gram_form = obs.norm_sq;
+  double reach = obs.norm;
+  double penalties = 0.0;
+  for (std::size_t i = 0; i < K; ++i) {
+    gram_form -= 2.0 * w[i] * in.rhs[i];
+    for (std::size_t j = 0; j < K; ++j) {
+      gram_form += w[i] * in.gram[i][j] * w[j];
+    }
+    reach += std::abs(w[i]) * in.norms[i];
+    if (w[i] < 1e-4) penalties += kSizePenalty;
   }
+  return gram_form + penalties - 1e-10 * (reach * reach + penalties);
+}
+
+/// The search pool's per-window inputs, indexed by search-pool slot.
+struct SearchSpace {
+  std::vector<const double*> rows;
+  std::vector<double> rhs;
+  std::vector<double> norms;
+  std::vector<double> gram;  // size × size, row-major
+};
+
+/// Grows every beam hypothesis (all of size K − 1) by one member and keeps
+/// the kBeamWidth best children in `out`, best first. Children come in
+/// generation order: parents in beam order, each adding every higher
+/// search-pool slot in turn. They stream through a bounded max-heap on
+/// (residual, generation index), whose front is the worst survivor; a
+/// later child displaces it only with a strictly lower residual, so a child
+/// whose floor reaches the front's residual never takes the direct
+/// residual. Every survivor's doubles are those of a full fit.
+template <std::size_t K>
+void grow_beam(const std::vector<Hypothesis>& beam, const Observation& obs,
+               const SearchSpace& space, std::vector<Hypothesis>& out) {
+  static_assert(K >= 2 && K <= kMaxInjectedIds);
+  const std::size_t n = space.rows.size();
+  out.clear();
+  std::size_t generation = 0;
+  for (const Hypothesis& parent : beam) {
+    // The parent's block is shared by all its children.
+    FitInput in;
+    for (std::size_t r = 0; r + 1 < K; ++r) {
+      const std::size_t sr = parent.members[r];
+      in.rows[r] = space.rows[sr];
+      in.norms[r] = space.norms[sr];
+      in.rhs[r] = space.rhs[sr];
+      for (std::size_t c = 0; c + 1 < K; ++c) {
+        in.gram[r][c] = space.gram[sr * n + parent.members[c]];
+      }
+    }
+    for (std::size_t s = parent.members[K - 2] + 1u; s < n;
+         ++s, ++generation) {
+      in.rows[K - 1] = space.rows[s];
+      in.norms[K - 1] = space.norms[s];
+      in.rhs[K - 1] = space.rhs[s];
+      for (std::size_t c = 0; c + 1 < K; ++c) {
+        in.gram[K - 1][c] = space.gram[s * n + parent.members[c]];
+        in.gram[c][K - 1] = space.gram[parent.members[c] * n + s];
+      }
+      in.gram[K - 1][K - 1] = space.gram[s * n + s];
+
+      const bool full = out.size() == static_cast<std::size_t>(kBeamWidth);
+      const double worst = full ? out.front().residual
+                                : std::numeric_limits<double>::infinity();
+      double w[K];
+      double lambda = 0.0;
+      double residual = 0.0;
+      if (solve_weights<K>(in, w, lambda)) {
+        if (residual_floor<K>(in, obs, w) >= worst) continue;
+        residual = direct_residual<K>(in, obs, w);
+      } else {
+        std::copy(parent.weights, parent.weights + (K - 1), w);
+        w[K - 1] = 0.0;
+        lambda = parent.lambda;
+        residual = parent.residual + kSizePenalty;
+      }
+      if (full) {
+        if (!(residual < worst)) continue;
+        std::pop_heap(out.begin(), out.end(), ranks_before);
+        out.pop_back();
+      }
+      Hypothesis& child = out.emplace_back(parent);
+      child.size = K;
+      child.members[K - 1] = static_cast<std::uint8_t>(s);
+      std::copy(w, w + K, child.weights);
+      child.lambda = lambda;
+      child.residual = residual;
+      child.generation = generation;
+      std::push_heap(out.begin(), out.end(), ranks_before);
+    }
+  }
+  std::sort_heap(out.begin(), out.end(), ranks_before);
 }
 
 }  // namespace
@@ -271,6 +424,11 @@ InferenceResult InferenceEngine::infer(const WindowSnapshot& window) const {
   // a dot product over the `dims` statistics. Each sums its products in
   // index order from 0.0: reordering a sum moves the low bits of every
   // fitted double.
+  Observation obs;
+  obs.delta = delta.data();
+  obs.dims = dims;
+  for (std::size_t b = 0; b < dims; ++b) obs.norm_sq += delta[b] * delta[b];
+  obs.norm = std::sqrt(obs.norm_sq);
   const std::size_t pool_size = id_pool_.size();
   std::vector<double> rhs(pool_size);       // p_n·delta
   std::vector<double> diagonal(pool_size);  // p_n·p_n
@@ -291,17 +449,19 @@ InferenceResult InferenceEngine::infer(const WindowSnapshot& window) const {
   // singleton fit uses the pairwise statistics too, unlike a plain
   // marginal alignment score), then keep the strongest plus all
   // constraint-satisfying candidates, capped at kSearchPool.
+  std::vector<Hypothesis> single_fits(pool_size);
   std::vector<std::pair<double, std::size_t>> singles;
   singles.reserve(pool_size);
   for (std::size_t n = 0; n < pool_size; ++n) {
     FitInput in;
-    in.k = 1;
     in.rows[0] = pattern(n);
     in.gram[0][0] = diagonal[n];
     in.rhs[0] = rhs[n];
-    double weight = 0.0;
-    double lambda = 0.0;
-    singles.emplace_back(fit(in, delta.data(), dims, &weight, lambda), n);
+    Hypothesis& h = single_fits[n];
+    h.size = 1;
+    solve_weights<1>(in, h.weights, h.lambda);
+    h.residual = direct_residual<1>(in, obs, h.weights);
+    singles.emplace_back(h.residual, n);
   }
   std::stable_sort(singles.begin(), singles.end());
 
@@ -327,64 +487,37 @@ InferenceResult InferenceEngine::infer(const WindowSnapshot& window) const {
 
   // Gram matrix over the search pool only. The patterns are transposed so
   // each row's entries accumulate side by side (vectorised across
-  // columns); every entry still sums its products in index order.
+  // columns); every entry still sums its products in index order, so its
+  // diagonal repeats `diagonal` bit for bit.
+  SearchSpace space;
   const std::size_t searched = search_pool.size();
   std::vector<double> columns(dims * searched);
   for (std::size_t t = 0; t < searched; ++t) {
     const double* row = pattern(search_pool[t]);
+    space.rows.push_back(row);
+    space.rhs.push_back(rhs[search_pool[t]]);
+    space.norms.push_back(std::sqrt(diagonal[search_pool[t]]));
     for (std::size_t b = 0; b < dims; ++b) columns[b * searched + t] = row[b];
   }
-  std::vector<double> gram(searched * searched);
+  space.gram.resize(searched * searched);
   for (std::size_t s = 0; s < searched; ++s) {
-    double* out = gram.data() + s * searched;
-    const double* row = pattern(search_pool[s]);
+    double* out = space.gram.data() + s * searched;
+    const double* row = space.rows[s];
     for (std::size_t b = 0; b < dims; ++b) {
       const double x = row[b];
       const double* column = columns.data() + b * searched;
       for (std::size_t t = s; t < searched; ++t) out[t] += x * column[t];
     }
     for (std::size_t t = s + 1; t < searched; ++t) {
-      gram[t * searched + s] = out[t];
+      space.gram[t * searched + s] = out[t];
     }
   }
 
   // ---- Beam search over set sizes -------------------------------------------
-  auto fit_hypothesis = [&](Hypothesis& h) {
-    FitInput in;
-    in.k = h.size;
-    for (std::size_t r = 0; r < h.size; ++r) {
-      const std::size_t sr = h.members[r];
-      in.rows[r] = pattern(search_pool[sr]);
-      in.rhs[r] = rhs[search_pool[sr]];
-      for (std::size_t c = 0; c < h.size; ++c) {
-        in.gram[r][c] = gram[sr * searched + h.members[c]];
-      }
-    }
-    h.residual = fit(in, delta.data(), dims, h.weights, h.lambda);
-  };
-
   std::vector<Hypothesis> beam;
-  std::vector<Hypothesis> next;           // one set size's candidates
+  std::vector<Hypothesis> grown;
   std::vector<Hypothesis> best_per_size;  // best hypothesis of each size
   std::vector<Hypothesis> top_sets;       // several best per size
-  // (residual, generation index): sorting on it reproduces a stable sort
-  // on the residual alone.
-  std::vector<std::pair<double, std::size_t>> order;
-  auto shrink_into_beam = [&] {
-    order.clear();
-    for (std::size_t i = 0; i < next.size(); ++i) {
-      order.emplace_back(next[i].residual, i);
-    }
-    const std::size_t keep =
-        std::min(order.size(), static_cast<std::size_t>(kBeamWidth));
-    std::partial_sort(order.begin(),
-                      order.begin() + static_cast<std::ptrdiff_t>(keep),
-                      order.end());
-    beam.clear();
-    for (std::size_t i = 0; i < keep; ++i) {
-      beam.push_back(next[order[i].second]);
-    }
-  };
   auto harvest = [&] {
     if (beam.empty()) return;
     best_per_size.push_back(beam.front());
@@ -394,27 +527,30 @@ InferenceResult InferenceEngine::infer(const WindowSnapshot& window) const {
                     beam.begin() + static_cast<std::ptrdiff_t>(take));
   };
 
-  for (std::size_t s = 0; s < searched; ++s) {
-    Hypothesis h;
-    h.size = 1;
-    h.members[0] = static_cast<std::uint8_t>(s);
-    fit_hypothesis(h);
-    next.push_back(h);
+  // Size 1 is the singleton fits already made, in (residual, pool index)
+  // order; search-pool slots ascend with pool indices, so that is the
+  // (residual, generation index) order of fitting every slot again.
+  for (const auto& [residual, n] : singles) {
+    if (beam.size() == static_cast<std::size_t>(kBeamWidth)) break;
+    if (!in_pool[n]) continue;
+    Hypothesis h = single_fits[n];
+    const auto slot = static_cast<std::size_t>(
+        std::lower_bound(search_pool.begin(), search_pool.end(), n) -
+        search_pool.begin());
+    h.members[0] = static_cast<std::uint8_t>(slot);
+    h.generation = slot;
+    beam.push_back(h);
   }
-  shrink_into_beam();
   harvest();
 
+  static_assert(kMaxInjectedIds == 4, "grow_beam is dispatched per size");
   for (int k = 2; k <= kMaxInjectedIds && !beam.empty(); ++k) {
-    next.clear();
-    for (const Hypothesis& h : beam) {
-      for (std::size_t s = h.members[h.size - 1] + 1u; s < searched; ++s) {
-        Hypothesis grown = h;
-        grown.members[grown.size++] = static_cast<std::uint8_t>(s);
-        fit_hypothesis(grown);
-        next.push_back(grown);
-      }
+    switch (k) {
+      case 2: grow_beam<2>(beam, obs, space, grown); break;
+      case 3: grow_beam<3>(beam, obs, space, grown); break;
+      default: grow_beam<4>(beam, obs, space, grown); break;
     }
-    shrink_into_beam();
+    beam.swap(grown);
     harvest();
   }
 

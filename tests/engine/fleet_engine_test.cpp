@@ -459,6 +459,37 @@ TEST(FleetEngineTest, StreamsOpenedWhileRunningMatchPreStartStreams) {
   }
 }
 
+TEST(FleetEngineTest, StreamCountIsSafeWhileStreamsOpen) {
+  // A serve client waits for its connections this way: one thread opens
+  // streams on the running engine while another polls stream_count()
+  // until it reads them all. The TSan leg checks the read.
+  const FleetWorld world;
+  FleetConfig config;
+  config.shards = 2;
+  FleetEngine engine(world.bit_entropy(), config);
+  engine.start();
+  constexpr std::size_t kStreams = 16;
+  std::vector<FleetEngine::Stream> streams;
+  std::thread opener([&] {
+    for (std::size_t i = 0; i < kStreams; ++i) {
+      streams.push_back(engine.open_stream("veh-" + std::to_string(i)));
+    }
+  });
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  std::size_t seen = 0;
+  while (seen < kStreams && std::chrono::steady_clock::now() < deadline) {
+    const std::size_t count = engine.stream_count();
+    EXPECT_GE(count, seen);
+    seen = count;
+    std::this_thread::yield();
+  }
+  opener.join();
+  EXPECT_EQ(seen, kStreams);
+  for (FleetEngine::Stream& stream : streams) stream.close();
+  EXPECT_EQ(engine.finish().size(), kStreams);
+}
+
 TEST(FleetEngineTest, MidWindowDisconnectFlushesFinalPartialWindow) {
   // A client hanging up 2.5 windows in must still get the half window
   // judged — same accounting as a sequential backend's finish().

@@ -236,6 +236,108 @@ TEST(InferenceEngineTest, SeededResultsArePinned) {
   EXPECT_EQ(digest, 0x87187C0C52305C8EULL);
 }
 
+/// FNV-1a over every output field of infer(): set size, best set, ranked
+/// list, constraints and the IEEE-754 bits of every fitted double.
+class ResultDigest {
+ public:
+  void add(const InferenceResult& result) {
+    mix(static_cast<std::uint32_t>(result.estimated_num_ids), 4);
+    mix(result.best_set.size(), 4);
+    for (std::uint32_t id : result.best_set) mix(id, 4);
+    mix(result.ranked_candidates.size(), 4);
+    for (std::uint32_t id : result.ranked_candidates) mix(id, 4);
+    mix(result.constraints.size(), 4);
+    for (const BitConstraint& c : result.constraints) {
+      mix(static_cast<std::uint32_t>(c.bit), 4);
+      mix(c.injected_bit ? 1U : 0U, 1);
+      mix(std::bit_cast<std::uint64_t>(c.shift), 8);
+    }
+    mix(std::bit_cast<std::uint64_t>(result.estimated_injection_fraction), 8);
+    mix(std::bit_cast<std::uint64_t>(result.fit_residual), 8);
+  }
+  [[nodiscard]] std::uint64_t value() const { return digest_; }
+
+ private:
+  void mix(std::uint64_t value, int bytes) {
+    for (int i = 0; i < bytes; ++i) {
+      digest_ ^= (value >> (8 * i)) & 0xFFU;
+      digest_ *= 0x100000001B3ULL;
+    }
+  }
+  std::uint64_t digest_ = 0xCBF29CE484222325ULL;
+};
+
+// A window whose statistics are the template's own means has delta = 0
+// exactly, so every fit of a given size has zero weights and ties at its
+// size penalty. The search pool (the pool's first 96 of 120 IDs), every
+// beam and the harvested sets then rest on generation order alone. A rank
+// of 30 reaches past the IDs that the size-1 sets vote for, so the list
+// shows which sets of sizes 2-4 were harvested.
+TEST(InferenceEngineTest, TiedResidualsKeepGenerationOrder) {
+  const InferenceWorld world(31, 120, /*with_pairs=*/true);
+  InferenceConfig config;
+  config.rank = 30;
+  const InferenceEngine engine(world.golden(), world.pool(), config);
+  WindowSnapshot flat = world.make_window({}, 5);
+  flat.probabilities = world.golden()->mean_probability;
+  flat.pair_probabilities = world.golden()->mean_pair_probability;
+  const InferenceResult result = engine.infer(flat);
+
+  EXPECT_TRUE(result.constraints.empty());
+  EXPECT_EQ(result.ranked_candidates,
+            (std::vector<std::uint32_t>{
+                0x008, 0x00B, 0x016, 0x01A, 0x025, 0x028, 0x030, 0x03D,
+                0x046, 0x05B, 0x063, 0x06C, 0x087, 0x0AF, 0x0B2, 0x0BC,
+                0x0C3, 0x0E0, 0x0E3, 0x0ED, 0x0F5, 0x102, 0x10F, 0x12F,
+                0x133, 0x137, 0x14A, 0x14B, 0x15A, 0x161}));
+  EXPECT_EQ(result.best_set, std::vector<std::uint32_t>{0x008});
+  EXPECT_EQ(result.estimated_num_ids, 1);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(result.estimated_injection_fraction),
+            0U);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(result.fit_residual),
+            std::bit_cast<std::uint64_t>(2e-4));
+}
+
+// A wider net than SeededResultsArePinned: 60 seeded windows over six
+// worlds of 60–223 IDs, with and without pair statistics, each injecting
+// 0–5 IDs at mixed counts. About a third of the injected IDs are drawn
+// from the whole 11-bit space, as a fuzzing sender's are, so some lie
+// outside the pool. Pairs templates are also fed windows without pairs.
+TEST(InferenceEngineTest, SeededSweepIsPinned) {
+  struct WorldSpec {
+    std::uint64_t seed;
+    int pool;
+    bool pairs;
+  };
+  const WorldSpec specs[] = {{11, 60, false},  {12, 97, true},
+                             {13, 131, false}, {14, 160, true},
+                             {15, 197, true},  {16, 223, true}};
+  ResultDigest digest;
+  int windows = 0;
+  for (const WorldSpec& spec : specs) {
+    const InferenceWorld world(spec.seed, spec.pool, spec.pairs);
+    const InferenceEngine engine(world.golden(), world.pool());
+    util::Rng rng(spec.seed * 7919);
+    for (int w = 0; w < 10; ++w) {
+      const auto count = static_cast<std::size_t>(w % 6);
+      std::map<std::uint32_t, int> injected;
+      while (injected.size() < count) {
+        const bool fuzz = rng.below(3) == 0;
+        const auto id = static_cast<std::uint32_t>(
+            fuzz ? rng.below(0x800)
+                 : world.pool()[rng.below(world.pool().size())]);
+        injected[id] = static_cast<int>(20 + rng.below(160));
+      }
+      WindowSnapshot window = world.make_window(injected, spec.seed * 100 + w);
+      if (w % 4 == 3) window.pair_probabilities.clear();
+      digest.add(engine.infer(window));
+      ++windows;
+    }
+  }
+  EXPECT_EQ(windows, 60);
+  EXPECT_EQ(digest.value(), 0xC6A85C87439304ADULL);
+}
+
 TEST(InferenceEngineTest, EstimatedLambdaTracksInjectedFraction) {
   const InferenceWorld world;
   InferenceEngine engine(world.golden(), world.pool());

@@ -255,6 +255,15 @@ bool arg_flag(std::vector<std::string>& args, const std::string& flag) {
   return true;
 }
 
+/// The path a command writes to. A flag-shaped one (`simulate --help`) is a
+/// usage error, not a file to create.
+const std::string& output_path(const std::string& path) {
+  if (path.rfind("--", 0) == 0) {
+    throw UsageError{"output path '" + path + "' looks like a flag"};
+  }
+  return path;
+}
+
 /// Every flag must have been consumed by now; anything left is a typo or
 /// an unsupported flag — reject loudly instead of ignoring it.
 void reject_leftovers(const std::vector<std::string>& args) {
@@ -1409,10 +1418,10 @@ int main(int argc, char** argv) {
       // `train --save PATH clean...` or the positional `train PATH clean...`.
       const auto save = arg_string(args, "--save");
       if (save && !args.empty()) {
-        return cmd_train(*save, args);
+        return cmd_train(output_path(*save), args);
       }
       if (!save && args.size() >= 2) {
-        return cmd_train(args[0], {args.begin() + 1, args.end()});
+        return cmd_train(output_path(args[0]), {args.begin() + 1, args.end()});
       }
       return usage();
     }
@@ -1475,7 +1484,7 @@ int main(int argc, char** argv) {
       return cmd_campaign(std::move(args));
     }
     if (command == "simulate" && !args.empty()) {
-      const std::string out = args[0];
+      const std::string out = output_path(args[0]);
       return cmd_simulate(out, {args.begin() + 1, args.end()});
     }
   } catch (const UsageError& e) {
