@@ -54,7 +54,7 @@ int main() {
   util::Table table({"bit", "H_temp (mean)", "H range (train)",
                      "threshold (5x)", "H under attack", "|deviation|",
                      "alert"});
-  for (int bit = 0; bit < golden.width; ++bit) {
+  for (int bit = 0; bit < can::kStdIdBits; ++bit) {
     const auto b = static_cast<std::size_t>(bit);
     const ids::BitDeviation& dev = detection.bits[b];
     table.add_row({"Bit " + std::to_string(bit + 1),
@@ -79,7 +79,7 @@ int main() {
             << util::Table::num(
                    [&] {
                      double max_range = 0.0;
-                     for (int bit = 0; bit < golden.width; ++bit) {
+                     for (int bit = 0; bit < can::kStdIdBits; ++bit) {
                        max_range =
                            std::max(max_range, golden.entropy_range(bit));
                      }

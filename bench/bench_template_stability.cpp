@@ -29,7 +29,7 @@ int main() {
   util::Table bit_table({"bit", "mean H", "min H", "max H", "range",
                          "range/mean"});
   double max_range = 0.0;
-  for (int bit = 0; bit < golden.width; ++bit) {
+  for (int bit = 0; bit < can::kStdIdBits; ++bit) {
     const auto b = static_cast<std::size_t>(bit);
     const double range = golden.entropy_range(bit);
     max_range = std::max(max_range, range);

@@ -5,7 +5,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "ids/bit_counters.h"
 #include "model/store.h"
 #include "util/contracts.h"
 
@@ -73,19 +72,9 @@ WindowVerdict BitEntropyBackend::judge(const ids::WindowSnapshot& snapshot) {
 std::optional<WindowVerdict> BitEntropyBackend::on_frame(
     util::TimeNs timestamp, const can::CanId& id) {
   ++counters_.frames;
-  std::optional<ids::WindowSnapshot> snapshot;
-  if (id.width() != detector_.golden().width) {
-    // E.g. a 29-bit extended identifier against the 11-bit template: the
-    // bit counters cannot represent it, so surface it as dropped instead
-    // of silently folding it into the wrong bit positions. Its timestamp
-    // still drives the window clock, keeping this backend's window
-    // boundaries aligned with detectors that consume every frame (the
-    // ensemble composes on that invariant).
-    ++counters_.dropped_frames;
-    snapshot = accumulator_.advance(timestamp);
-  } else {
-    snapshot = accumulator_.add(timestamp, id);
-  }
+  std::optional<ids::WindowSnapshot> snapshot =
+      accumulator_.add(timestamp, id);
+  counters_.dropped_frames = accumulator_.dropped();
   if (!snapshot) return std::nullopt;
   return judge(*snapshot);
 }
@@ -93,45 +82,20 @@ std::optional<WindowVerdict> BitEntropyBackend::on_frame(
 void BitEntropyBackend::on_frames(const can::TimedId* frames,
                                   std::size_t count,
                                   std::vector<WindowVerdict>& out) {
-  const int width = detector_.golden().width;
   counters_.frames += count;
-  std::size_t i = 0;
-  while (i < count) {
-    if (frames[i].id.width() != width) {
-      // Same contract as on_frame: the frame is dropped but its timestamp
-      // still drives the window clock (ensemble alignment invariant).
-      ++counters_.dropped_frames;
-      if (auto snapshot = accumulator_.advance(frames[i].timestamp)) {
-        out.push_back(judge(*snapshot));
-      }
-      ++i;
-      continue;
-    }
-    std::size_t j = i + 1;
-    while (j < count && frames[j].id.width() == width) ++j;
-    // The detector and inference engine are stateless, so judging a run's
-    // windows after it is counted changes nothing.
-    accumulator_.add_batch(frames + i, j - i, snapshot_scratch_);
-    for (const ids::WindowSnapshot& snapshot : snapshot_scratch_) {
-      out.push_back(judge(snapshot));
-    }
-    snapshot_scratch_.clear();
-    i = j;
+  // The detector and inference engine are stateless, so judging the
+  // batch's windows after it is counted changes nothing.
+  accumulator_.add_batch(frames, count, snapshot_scratch_);
+  counters_.dropped_frames = accumulator_.dropped();
+  for (const ids::WindowSnapshot& snapshot : snapshot_scratch_) {
+    out.push_back(judge(snapshot));
   }
+  snapshot_scratch_.clear();
 }
 
 void BitEntropyBackend::rebind_models(const model::StoredModels& models) {
   const std::shared_ptr<const ids::GoldenTemplate>& golden = models.golden;
   if (!golden) return;
-  // Validate before mutating anything: the accumulator's live bit counts
-  // are width-shaped, so a throw leaves the backend untouched.
-  if (golden->width != detector_.golden().width) {
-    throw std::invalid_argument(
-        "rebind: golden template width mismatch (live window state is "
-        "shaped for width " +
-        std::to_string(detector_.golden().width) + ", got " +
-        std::to_string(golden->width) + ")");
-  }
   detector_ = ids::Detector(golden, config_.detector);
   if (inference_) {
     inference_ = std::make_shared<const ids::InferenceEngine>(

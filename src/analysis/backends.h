@@ -41,13 +41,14 @@ class BitEntropyBackend final : public DetectorBackend {
 
   std::optional<WindowVerdict> on_frame(util::TimeNs timestamp,
                                         const can::CanId& id) override;
-  /// The batched hot path: width-matching runs are block-counted through
-  /// WindowAccumulator::add_batch (SIMD kernels); results are bit-identical
-  /// to the per-frame loop.
+  /// The batched hot path: frames are block-counted through
+  /// WindowAccumulator::add_batch; results are bit-identical to the
+  /// per-frame loop. Extended 29-bit identifiers are
+  /// counted in `dropped_frames` (the accumulator's rule).
   void on_frames(const can::TimedId* frames, std::size_t count,
                  std::vector<WindowVerdict>& out) override;
-  /// Takes `models.golden` (same identifier width required); the open
-  /// window's bit counts, clock, and counters are kept.
+  /// Takes `models.golden`; the open window's bit counts, clock, and
+  /// counters are kept.
   void rebind_models(const model::StoredModels& models) override;
   std::optional<WindowVerdict> finish() override;
   [[nodiscard]] const ids::PipelineCounters& counters() const override {

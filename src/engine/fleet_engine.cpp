@@ -67,19 +67,6 @@ struct FleetEngine::StreamState {
   }
 };
 
-void FleetEngine::Stream::push(util::TimeNs timestamp, can::CanId id) {
-  const FrameItem item{timestamp, id};
-  if (state_->on_full == BackpressurePolicy::kDropNewest) {
-    if (!state_->queue.try_push(item)) {
-      state_->queue_dropped.fetch_add(1, std::memory_order_relaxed);
-    }
-    return;
-  }
-  while (!state_->queue.try_push(item)) {
-    std::this_thread::yield();
-  }
-}
-
 void FleetEngine::Stream::push_batch(const FrameItem* items,
                                      std::size_t count) {
   if (state_->on_full == BackpressurePolicy::kDropNewest) {
@@ -328,7 +315,7 @@ void FleetEngine::worker_loop(Shard& shard) {
   std::size_t sample_tick = 0;
 
   auto feed = [&](StreamState& stream) {
-    // One batched backend call per drained block — the SIMD-counted hot
+    // One batched backend call per drained block — the block-counted hot
     // path; verdicts come back in close order, exactly as per-frame calls
     // would have produced them.
     verdicts.clear();

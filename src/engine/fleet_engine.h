@@ -7,11 +7,11 @@
 //
 //   producers (trace files, taps)          shard workers
 //   ───────────────────────────           ───────────────
-//   Stream::push ──► SpscQueue ──► worker: per-stream DetectorBackend ──► AlertSink
-//                                   (one shard owns a stream outright, so
-//                                    per-stream frame order — and therefore
-//                                    every WindowVerdict — is identical to a
-//                                    sequential run)
+//   Stream::push_batch ──► SpscQueue ──► worker: per-stream DetectorBackend ──► AlertSink
+//                                         (one shard owns a stream outright,
+//                                          so per-stream frame order — and
+//                                          therefore every WindowVerdict — is
+//                                          identical to a sequential run)
 //
 // The paper's bit-entropy detector stays the cheapest replicable backend
 // (11 counters + one shared template per stream) and remains the default,
@@ -39,7 +39,7 @@
 
 namespace canids::engine {
 
-/// What Stream::push does when the stream's bounded queue is full.
+/// What Stream::push_batch does when the stream's bounded queue is full.
 enum class BackpressurePolicy : std::uint8_t {
   /// Spin-yield until space frees — lossless, the producer slows down
   /// (the batch/file-replay contract; memory stays bounded).
@@ -116,10 +116,6 @@ class FleetEngine {
   /// a given stream at a time (the queue below is single-producer).
   class Stream {
    public:
-    /// Enqueue one frame. kBlock: yields while the bounded queue is full.
-    /// kDropNewest: a frame that does not fit is discarded and counted in
-    /// queue_dropped().
-    void push(util::TimeNs timestamp, can::CanId id);
     /// Enqueue a batch with a single queue publish — the high-throughput
     /// ingest path (run_fleet batches per fill() block, serve per recv
     /// chunk). kBlock: yields until everything is in. kDropNewest: pushes

@@ -10,7 +10,6 @@
 #include <atomic>
 #include <cstddef>
 #include <memory>
-#include <optional>
 #include <type_traits>
 #include <vector>
 
@@ -53,19 +52,6 @@ class SpscQueue {
 
   [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
 
-  /// Producer side. Returns false when the queue is full.
-  bool try_push(const T& value) {
-    const std::size_t tail = tail_.load(std::memory_order_relaxed);
-    const std::size_t next = (tail + 1) & mask_;
-    if (next == head_cache_) {
-      head_cache_ = head_.load(std::memory_order_acquire);
-      if (next == head_cache_) return false;
-    }
-    std::construct_at(slots_ + tail, value);
-    tail_.store(next, std::memory_order_release);
-    return true;
-  }
-
   /// Producer side: enqueue up to `count` elements from `values` with one
   /// index publish. Returns how many fit (0 when full).
   std::size_t try_push_batch(const T* values, std::size_t count) {
@@ -83,18 +69,6 @@ class SpscQueue {
       tail_.store((tail + pushed) & mask_, std::memory_order_release);
     }
     return pushed;
-  }
-
-  /// Consumer side. Returns nullopt when the queue is empty.
-  std::optional<T> try_pop() {
-    const std::size_t head = head_.load(std::memory_order_relaxed);
-    if (head == tail_cache_) {
-      tail_cache_ = tail_.load(std::memory_order_acquire);
-      if (head == tail_cache_) return std::nullopt;
-    }
-    T value = slots_[head];
-    head_.store((head + 1) & mask_, std::memory_order_release);
-    return value;
   }
 
   /// Consumer side: move up to `max` elements into `out` (appended), with a

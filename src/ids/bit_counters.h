@@ -1,7 +1,7 @@
-// The paper's O(1)-memory monitoring state (§V.E): one counter per ID bit
-// plus a frame total — 11 counters for standard CAN no matter how many
-// distinct identifiers appear on the bus, versus a per-ID histogram for the
-// whole-distribution entropy baseline [8].
+// The paper's O(1)-memory monitoring state (§V.E): one counter per bit of
+// the 11-bit standard identifier plus a frame total — 11 counters no matter
+// how many distinct identifiers appear on the bus, versus a per-ID
+// histogram for the whole-distribution entropy baseline [8].
 #pragma once
 
 #include <algorithm>
@@ -12,73 +12,50 @@
 
 #include "can/frame.h"
 #include "ids/binary_entropy.h"
-#include "ids/simd_kernels.h"
 #include "util/contracts.h"
 
 namespace canids::ids {
 
-/// Per-bit '1' counters over a stream of identifiers, templated on the ID
-/// width (11 for CAN 2.0A, 29 for CAN 2.0B).
-template <int Width>
-class BitCountersT {
-  static_assert(Width > 0 && Width <= 32);
-
+/// Per-bit '1' counters over a stream of 11-bit identifiers.
+class BitCounters {
  public:
-  static constexpr int kWidth = Width;
   /// Identifier bits this counter observes (higher bits are ignored).
-  static constexpr std::uint32_t kIdMask =
-      Width == 32 ? ~0u : (1u << Width) - 1u;
-  /// Narrow identifier spaces use a table-assisted update: a shared lookup
-  /// table maps each identifier to its bits pre-packed as 16-bit lanes, so
-  /// add() is kWords wide adds instead of Width scattered ones. Lanes spill
-  /// into the 64-bit counters before they can saturate. ~3x faster per
-  /// frame for 11-bit IDs (bench_micro_throughput, BM_BitSlice_CountFrame);
-  /// wide (29-bit) IDs would need a 4-Gi-row table and keep the plain loop.
-  static constexpr bool kTableAssisted = Width <= can::kStdIdBits;
+  static constexpr std::uint32_t kIdMask = can::kMaxStdId;
 
-  /// Count one identifier. Bit 0 is the MSB, matching CanId::bit.
+  /// Count one identifier. Bit 0 is the MSB, matching CanId::bit. A shared
+  /// lookup table maps each identifier to its bits pre-packed as 16-bit
+  /// lanes, so add() is kWords wide adds instead of 11 scattered ones.
+  /// Lanes spill into the 64-bit counters before they can saturate. ~3x
+  /// faster per frame than the bit loop (bench_micro_throughput,
+  /// BM_BitSlice_CountFrame).
   void add(std::uint32_t raw_id) noexcept {
     ++total_;
-    if constexpr (kTableAssisted) {
-      const LaneRow& row = lane_table()[raw_id & kIdMask];
-      for (int w = 0; w < kWords; ++w) {
-        lanes_[static_cast<std::size_t>(w)] +=
-            row[static_cast<std::size_t>(w)];
-      }
-      if (++pending_ == kLaneLimit) spill();
-    } else {
-      for (int i = 0; i < Width; ++i) {
-        ones_[static_cast<std::size_t>(i)] +=
-            (raw_id >> (Width - 1 - i)) & 1u;
-      }
+    const LaneRow& row = lane_table()[raw_id & kIdMask];
+    for (int w = 0; w < kWords; ++w) {
+      lanes_[static_cast<std::size_t>(w)] += row[static_cast<std::size_t>(w)];
     }
-  }
-
-  void add(const can::CanId& id) {
-    CANIDS_EXPECTS(id.width() == Width);
-    add(id.raw());
+    if (++pending_ == kLaneLimit) spill();
   }
 
   /// Count a block of identifiers. Bit-identical to calling add() per id —
   /// lane-spill timing is unobservable (ones() folds pending lanes) — but
-  /// the table-assisted path pushes the whole block through the dispatched
-  /// SIMD kernels (util::active_simd_level), chunked so no 16-bit lane can
-  /// saturate mid-batch.
+  /// the lane accumulators stay in locals across each chunk, and chunks
+  /// end where a 16-bit lane could saturate.
   void add_batch(const std::uint32_t* ids, std::size_t count) noexcept {
-    if constexpr (kTableAssisted) {
-      const simd::LaneAddFn add_fn = simd::lane_add_kernel();
-      const std::uint64_t* table = lane_table().front().data();
-      total_ += count;
-      while (count > 0) {
-        const auto chunk = std::min<std::size_t>(count, kLaneLimit - pending_);
-        add_fn(lanes_.data(), table, kIdMask, ids, chunk);
-        pending_ += static_cast<std::uint32_t>(chunk);
-        ids += chunk;
-        count -= chunk;
-        if (pending_ == kLaneLimit) spill();
+    const LaneTable& table = lane_table();
+    total_ += count;
+    while (count > 0) {
+      const auto chunk = std::min<std::size_t>(count, kLaneLimit - pending_);
+      LaneRow lanes = lanes_;
+      for (std::size_t i = 0; i < chunk; ++i) {
+        const LaneRow& row = table[ids[i] & kIdMask];
+        for (std::size_t w = 0; w < lanes.size(); ++w) lanes[w] += row[w];
       }
-    } else {
-      for (std::size_t i = 0; i < count; ++i) add(ids[i]);
+      lanes_ = lanes;
+      pending_ += static_cast<std::uint32_t>(chunk);
+      ids += chunk;
+      count -= chunk;
+      if (pending_ == kLaneLimit) spill();
     }
   }
 
@@ -91,10 +68,8 @@ class BitCountersT {
 
   [[nodiscard]] std::uint64_t total() const noexcept { return total_; }
   [[nodiscard]] std::uint64_t ones(int bit) const {
-    CANIDS_EXPECTS(bit >= 0 && bit < Width);
-    std::uint64_t count = ones_[static_cast<std::size_t>(bit)];
-    if constexpr (kTableAssisted) count += lane(bit);
-    return count;
+    CANIDS_EXPECTS(bit >= 0 && bit < can::kStdIdBits);
+    return ones_[static_cast<std::size_t>(bit)] + lane(bit);
   }
 
   /// p_i = (#messages with bit i == 1) / total. Requires a non-empty window.
@@ -104,35 +79,37 @@ class BitCountersT {
   }
 
   [[nodiscard]] std::vector<double> probabilities() const {
-    std::vector<double> out(Width);
-    for (int i = 0; i < Width; ++i) out[static_cast<std::size_t>(i)] = probability(i);
+    std::vector<double> out(can::kStdIdBits);
+    for (int i = 0; i < can::kStdIdBits; ++i) {
+      out[static_cast<std::size_t>(i)] = probability(i);
+    }
     return out;
   }
 
-  /// Ĥ = {H_1 .. H_Width}, the per-bit binary entropy vector.
+  /// Ĥ = {H_1 .. H_11}, the per-bit binary entropy vector.
   [[nodiscard]] std::vector<double> entropies() const {
-    std::vector<double> out(Width);
-    for (int i = 0; i < Width; ++i) {
+    std::vector<double> out(can::kStdIdBits);
+    for (int i = 0; i < can::kStdIdBits; ++i) {
       out[static_cast<std::size_t>(i)] = binary_entropy(probability(i));
     }
     return out;
   }
 
   /// Fill both per-bit vectors in one pass. Bits sharing a '1' count get one
-  /// binary_entropy evaluation instead of Width of them — identifiers are
+  /// binary_entropy evaluation instead of 11 of them — identifiers are
   /// priority-clustered, so windows routinely repeat counts across bits.
   /// Results are bit-identical to probabilities()/entropies().
   void snapshot_into(std::vector<double>& probabilities_out,
                      std::vector<double>& entropies_out) const {
     CANIDS_EXPECTS(total_ > 0);
-    probabilities_out.resize(static_cast<std::size_t>(Width));
-    entropies_out.resize(static_cast<std::size_t>(Width));
-    std::array<std::uint64_t, static_cast<std::size_t>(Width)> seen_ones;
-    std::array<double, static_cast<std::size_t>(Width)> seen_entropy;
+    constexpr auto kBits = static_cast<std::size_t>(can::kStdIdBits);
+    probabilities_out.resize(kBits);
+    entropies_out.resize(kBits);
+    std::array<std::uint64_t, kBits> seen_ones;
+    std::array<double, kBits> seen_entropy;
     std::size_t cached = 0;
-    for (int i = 0; i < Width; ++i) {
-      const auto b = static_cast<std::size_t>(i);
-      const std::uint64_t count = ones(i);
+    for (std::size_t b = 0; b < kBits; ++b) {
+      const std::uint64_t count = ones(static_cast<int>(b));
       probabilities_out[b] =
           static_cast<double>(count) / static_cast<double>(total_);
       double entropy = -1.0;
@@ -156,32 +133,30 @@ class BitCountersT {
   /// quoted in the §V.E comparison benches. The identifier lane table is
   /// shared by every counter instance in the process and excluded.
   [[nodiscard]] static constexpr std::size_t state_bytes() noexcept {
-    return kTableAssisted
-               ? sizeof(ones_) + sizeof(total_) + sizeof(lanes_) +
-                     sizeof(pending_)
-               : sizeof(ones_) + sizeof(total_);
+    return sizeof(ones_) + sizeof(total_) + sizeof(lanes_) + sizeof(pending_);
   }
 
  private:
   static constexpr int kLanesPerWord = 4;  // 16-bit lanes in a u64
-  static constexpr int kWords = (Width + kLanesPerWord - 1) / kLanesPerWord;
+  static constexpr int kWords =
+      (can::kStdIdBits + kLanesPerWord - 1) / kLanesPerWord;
   static constexpr std::uint32_t kLaneLimit = 0xFFFF;  // lane saturation
-  static_assert(!kTableAssisted || kWords <= simd::kLaneRowWords);
-  /// Rows are padded to simd::kLaneRowWords (one 256-bit vector) so the
-  /// batched kernels never need a per-row tail; padding words stay zero.
-  using LaneRow =
-      std::array<std::uint64_t, static_cast<std::size_t>(simd::kLaneRowWords)>;
-  using LaneTable =
-      std::array<LaneRow, kTableAssisted ? (std::size_t{1} << Width) : 0>;
+  /// Rows are padded to an even word count so add_batch adds a row in
+  /// whole 128-bit vectors; the padding word stays zero.
+  static constexpr std::size_t kRowWords = 4;
+  static_assert(kWords <= kRowWords);
+  using LaneRow = std::array<std::uint64_t, kRowWords>;
+  using LaneTable = std::array<LaneRow, std::size_t{kIdMask} + 1>;
 
   /// Shared id -> packed-lane-increment table, built on first use.
   [[nodiscard]] static const LaneTable& lane_table() {
     static const LaneTable table = [] {
       LaneTable built{};
       for (std::size_t id = 0; id < built.size(); ++id) {
-        for (int i = 0; i < Width; ++i) {
+        for (int i = 0; i < can::kStdIdBits; ++i) {
           built[id][static_cast<std::size_t>(i / kLanesPerWord)] |=
-              static_cast<std::uint64_t>((id >> (Width - 1 - i)) & 1u)
+              static_cast<std::uint64_t>((id >> (can::kStdIdBits - 1 - i)) &
+                                         1u)
               << ((i % kLanesPerWord) * 16);
         }
       }
@@ -197,67 +172,47 @@ class BitCountersT {
            0xFFFF;
   }
 
-  /// Fold the lane accumulators into the 64-bit counters (dispatched SIMD
-  /// kernel; ones_ is padded so it may store whole lane words).
+  /// Fold the lane accumulators into the 64-bit counters.
   void spill() noexcept {
-    simd::lane_spill_kernel()(lanes_.data(), ones_.data(), kWords);
+    for (std::size_t i = 0; i < ones_.size(); ++i) {
+      ones_[i] += lane(static_cast<int>(i));
+    }
     lanes_.fill(0);
     pending_ = 0;
   }
 
-  /// Slots in ones_: table-assisted counters pad to whole lane words
-  /// (kLanesPerWord * kWords) so the spill kernel can write four 64-bit
-  /// lanes per word without a tail; padding slots stay zero forever.
-  static constexpr std::size_t kOnesSlots =
-      kTableAssisted ? static_cast<std::size_t>(kLanesPerWord * kWords)
-                     : static_cast<std::size_t>(Width);
-
-  std::array<std::uint64_t, kOnesSlots> ones_{};
+  /// Padded to whole lane words (kLanesPerWord * kWords) so spill widens
+  /// every lane of every word; the padding slot stays zero forever.
+  std::array<std::uint64_t, static_cast<std::size_t>(kLanesPerWord * kWords)>
+      ones_{};
   std::uint64_t total_ = 0;
-  /// Lane accumulators; empty for wide counters, which count directly.
-  /// Padded like LaneRow so the add kernels work in whole vectors.
-  std::array<std::uint64_t,
-             kTableAssisted ? static_cast<std::size_t>(simd::kLaneRowWords) : 0>
-      lanes_{};
+  /// Lane accumulators, padded like LaneRow.
+  LaneRow lanes_{};
   std::uint32_t pending_ = 0;
 };
 
-using BitCounters = BitCountersT<can::kStdIdBits>;
-using BitCounters29 = BitCountersT<can::kExtIdBits>;
-
-extern template class BitCountersT<can::kStdIdBits>;
-extern template class BitCountersT<can::kExtIdBits>;
-
-/// Number of unordered bit pairs (i < j) for a given ID width.
-[[nodiscard]] constexpr int pair_count(int width) noexcept {
-  return width * (width - 1) / 2;
-}
+/// Number of unordered bit pairs (i < j) of an 11-bit identifier.
+inline constexpr int kPairCount = can::kStdIdBits * (can::kStdIdBits - 1) / 2;
 
 /// Flat index of the pair (i, j), i < j, in the upper-triangle layout used
-/// by PairCountersT, WindowSnapshot::pair_probabilities and GoldenTemplate.
-[[nodiscard]] constexpr int pair_index(int i, int j, int width) noexcept {
-  return i * (2 * width - i - 1) / 2 + (j - i - 1);
+/// by PairCounters, WindowSnapshot::pair_probabilities and GoldenTemplate.
+[[nodiscard]] constexpr int pair_index(int i, int j) noexcept {
+  return i * (2 * can::kStdIdBits - i - 1) / 2 + (j - i - 1);
 }
 
 /// Per-bit-pair co-occurrence counters: q_ij = Pr(bit_i = 1 AND bit_j = 1).
 ///
-/// Still O(1) in the number of identifiers (55 counters for 11-bit IDs, on
-/// top of the 11 marginals), but far more informative for malicious-ID
-/// inference: mixing traffic is linear in q_ij exactly as in p_i, giving 66
-/// usable equations instead of 11. This powers the multi-ID inference
-/// extension described in DESIGN.md §6; the detector itself stays on the
-/// paper's 11 marginal entropies.
-template <int Width>
-class PairCountersT {
-  static_assert(Width > 0 && Width <= 32);
-
+/// Still O(1) in the number of identifiers (55 counters on top of the 11
+/// marginals), but far more informative for malicious-ID inference: mixing
+/// traffic is linear in q_ij exactly as in p_i, giving 66 usable equations
+/// instead of 11. This powers the multi-ID inference extension described in
+/// DESIGN.md §6; the detector itself stays on the paper's 11 marginal
+/// entropies.
+class PairCounters {
  public:
-  static constexpr int kWidth = Width;
-  static constexpr int kPairs = pair_count(Width);
-
   /// Only pairs of set bits contribute, so walk set bits (MSB-down) and
-  /// touch O(popcount^2) counters instead of scanning all Width positions
-  /// per set bit (~10 increments instead of ~50 for typical identifiers).
+  /// touch O(popcount^2) counters instead of scanning all 11 positions per
+  /// set bit (~10 increments instead of ~50 for typical identifiers).
   void add(std::uint32_t raw_id) noexcept {
     marginals_.add(raw_id);
     add_pairs(raw_id);
@@ -268,8 +223,8 @@ class PairCountersT {
   void add_marginal(std::uint32_t raw_id) noexcept { marginals_.add(raw_id); }
 
   /// Batch-count a block of identifiers; bit-identical to per-frame calls.
-  /// Marginals go through the dispatched SIMD kernels; the pair updates
-  /// (O(popcount^2), data-dependent scatter) stay scalar.
+  /// Marginals go through BitCounters::add_batch; the pair updates
+  /// (O(popcount^2), data-dependent scatter) stay per identifier.
   void add_batch(const std::uint32_t* ids, std::size_t count,
                  bool with_pairs) noexcept {
     marginals_.add_batch(ids, count);
@@ -282,7 +237,7 @@ class PairCountersT {
     pair_ones_.fill(0);
   }
 
-  [[nodiscard]] const BitCountersT<Width>& marginals() const noexcept {
+  [[nodiscard]] const BitCounters& marginals() const noexcept {
     return marginals_;
   }
   [[nodiscard]] std::uint64_t total() const noexcept {
@@ -291,19 +246,19 @@ class PairCountersT {
 
   /// q_ij for i < j. Requires a non-empty window.
   [[nodiscard]] double pair_probability(int i, int j) const {
-    CANIDS_EXPECTS(i >= 0 && i < j && j < Width);
+    CANIDS_EXPECTS(i >= 0 && i < j && j < can::kStdIdBits);
     CANIDS_EXPECTS(total() > 0);
     return static_cast<double>(
-               pair_ones_[static_cast<std::size_t>(pair_index(i, j, Width))]) /
+               pair_ones_[static_cast<std::size_t>(pair_index(i, j))]) /
            static_cast<double>(total());
   }
 
   /// All q_ij in flat upper-triangle order.
   [[nodiscard]] std::vector<double> pair_probabilities() const {
-    std::vector<double> out(static_cast<std::size_t>(kPairs));
-    for (int i = 0; i < Width - 1; ++i) {
-      for (int j = i + 1; j < Width; ++j) {
-        out[static_cast<std::size_t>(pair_index(i, j, Width))] =
+    std::vector<double> out(static_cast<std::size_t>(kPairCount));
+    for (int i = 0; i < can::kStdIdBits - 1; ++i) {
+      for (int j = i + 1; j < can::kStdIdBits; ++j) {
+        out[static_cast<std::size_t>(pair_index(i, j))] =
             pair_probability(i, j);
       }
     }
@@ -311,29 +266,25 @@ class PairCountersT {
   }
 
   [[nodiscard]] static constexpr std::size_t state_bytes() noexcept {
-    return BitCountersT<Width>::state_bytes() + sizeof(pair_ones_);
+    return BitCounters::state_bytes() + sizeof(pair_ones_);
   }
 
  private:
   void add_pairs(std::uint32_t raw_id) noexcept {
-    std::uint32_t rest = raw_id & BitCountersT<Width>::kIdMask;
+    std::uint32_t rest = raw_id & BitCounters::kIdMask;
     while (rest != 0) {
       const int hi = std::bit_width(rest) - 1;  // highest set bit, LSB = 0
-      const int i = Width - 1 - hi;             // MSB-first index
+      const int i = can::kStdIdBits - 1 - hi;   // MSB-first index
       rest &= ~(1u << hi);
       for (std::uint32_t lower = rest; lower != 0; lower &= lower - 1) {
-        const int j = Width - 1 - std::countr_zero(lower);
-        ++pair_ones_[static_cast<std::size_t>(pair_index(i, j, Width))];
+        const int j = can::kStdIdBits - 1 - std::countr_zero(lower);
+        ++pair_ones_[static_cast<std::size_t>(pair_index(i, j))];
       }
     }
   }
 
-  BitCountersT<Width> marginals_;
-  std::array<std::uint64_t, static_cast<std::size_t>(kPairs)> pair_ones_{};
+  BitCounters marginals_;
+  std::array<std::uint64_t, static_cast<std::size_t>(kPairCount)> pair_ones_{};
 };
-
-using PairCounters = PairCountersT<can::kStdIdBits>;
-
-extern template class PairCountersT<can::kStdIdBits>;
 
 }  // namespace canids::ids

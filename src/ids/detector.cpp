@@ -13,12 +13,11 @@ Detector::Detector(std::shared_ptr<const GoldenTemplate> golden,
   CANIDS_EXPECTS(golden_ != nullptr);
   CANIDS_EXPECTS(config_.alpha > 0.0);
   CANIDS_EXPECTS(config_.min_threshold >= 0.0);
-  CANIDS_EXPECTS(golden_->width > 0);
   CANIDS_EXPECTS(golden_->mean_entropy.size() ==
-                 static_cast<std::size_t>(golden_->width));
+                 static_cast<std::size_t>(can::kStdIdBits));
 
-  thresholds_.resize(static_cast<std::size_t>(golden_->width));
-  for (int i = 0; i < golden_->width; ++i) {
+  thresholds_.resize(static_cast<std::size_t>(can::kStdIdBits));
+  for (int i = 0; i < can::kStdIdBits; ++i) {
     thresholds_[static_cast<std::size_t>(i)] =
         std::max(config_.alpha * golden_->entropy_range(i),
                  config_.min_threshold);
@@ -27,7 +26,7 @@ Detector::Detector(std::shared_ptr<const GoldenTemplate> golden,
 
 DetectionResult Detector::evaluate(const WindowSnapshot& window) const {
   const GoldenTemplate& golden = *golden_;
-  CANIDS_EXPECTS(window.width() == golden.width);
+  CANIDS_EXPECTS(window.width() == can::kStdIdBits);
 
   DetectionResult result;
   result.window_start = window.start;
@@ -39,8 +38,8 @@ DetectionResult Detector::evaluate(const WindowSnapshot& window) const {
   }
   result.evaluated = true;
 
-  result.bits.reserve(static_cast<std::size_t>(golden.width));
-  for (int i = 0; i < golden.width; ++i) {
+  result.bits.reserve(static_cast<std::size_t>(can::kStdIdBits));
+  for (int i = 0; i < can::kStdIdBits; ++i) {
     const auto b = static_cast<std::size_t>(i);
     BitDeviation dev;
     dev.bit = i;

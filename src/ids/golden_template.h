@@ -18,8 +18,8 @@ namespace canids::ids {
 /// any count >= 2 but callers reproducing the paper should supply 35.
 inline constexpr std::size_t kPaperTrainingWindows = 35;
 
+/// Statistics of the 11 bits of a standard identifier.
 struct GoldenTemplate {
-  int width = can::kStdIdBits;
   std::size_t training_windows = 0;
 
   std::vector<double> mean_entropy;       ///< H_temp per bit
@@ -50,8 +50,6 @@ struct GoldenTemplate {
 /// Accumulates training windows into a GoldenTemplate.
 class TemplateBuilder {
  public:
-  explicit TemplateBuilder(int width = can::kStdIdBits);
-
   /// Add one normal-driving window. Windows with zero frames are rejected.
   void add_window(const WindowSnapshot& window);
 
@@ -62,18 +60,20 @@ class TemplateBuilder {
   [[nodiscard]] GoldenTemplate build(std::size_t min_windows = 2) const;
 
  private:
-  int width_;
+  static constexpr auto kBits = static_cast<std::size_t>(can::kStdIdBits);
+  static constexpr auto kPairs = static_cast<std::size_t>(kPairCount);
+
   std::size_t windows_ = 0;
   std::size_t windows_with_pairs_ = 0;
-  std::vector<double> sum_entropy_;
-  std::vector<double> min_entropy_;
-  std::vector<double> max_entropy_;
-  std::vector<double> sum_probability_;
-  std::vector<double> min_probability_;
-  std::vector<double> max_probability_;
-  std::vector<double> sum_pair_;
-  std::vector<double> min_pair_;
-  std::vector<double> max_pair_;
+  std::vector<double> sum_entropy_ = std::vector<double>(kBits);
+  std::vector<double> min_entropy_ = std::vector<double>(kBits);
+  std::vector<double> max_entropy_ = std::vector<double>(kBits);
+  std::vector<double> sum_probability_ = std::vector<double>(kBits);
+  std::vector<double> min_probability_ = std::vector<double>(kBits);
+  std::vector<double> max_probability_ = std::vector<double>(kBits);
+  std::vector<double> sum_pair_ = std::vector<double>(kPairs);
+  std::vector<double> min_pair_ = std::vector<double>(kPairs);
+  std::vector<double> max_pair_ = std::vector<double>(kPairs);
 };
 
 }  // namespace canids::ids

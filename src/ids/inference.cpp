@@ -38,8 +38,8 @@ static_assert(kBeamWidth > 0 && kMaxInjectedIds >= 1 &&
               kLambdaMax > 0.0);
 
 /// Bit i (MSB-first) of a standard identifier as a double in {0,1}.
-[[nodiscard]] double id_bit(std::uint32_t id, int bit, int width) noexcept {
-  return static_cast<double>((id >> (width - 1 - bit)) & 1u);
+[[nodiscard]] double id_bit(std::uint32_t id, int bit) noexcept {
+  return static_cast<double>((id >> (can::kStdIdBits - 1 - bit)) & 1u);
 }
 
 /// One least-squares fit's inputs, gathered from the per-window dot
@@ -340,27 +340,24 @@ InferenceEngine::InferenceEngine(std::shared_ptr<const GoldenTemplate> golden,
   // Precompute each candidate's centered feature pattern against the
   // template: marginal part (bit_i - p̄_i), then — when the template carries
   // pair statistics — the co-occurrence part (bit_i*bit_j - q̄_ij).
-  const auto width = static_cast<std::size_t>(golden_->width);
+  constexpr auto width = static_cast<std::size_t>(can::kStdIdBits);
   const std::size_t pairs =
-      golden_->has_pairs()
-          ? static_cast<std::size_t>(pair_count(golden_->width))
-          : 0;
+      golden_->has_pairs() ? static_cast<std::size_t>(kPairCount) : 0;
   stride_ = width + pairs;
   patterns_.resize(id_pool_.size() * stride_);
   for (std::size_t n = 0; n < id_pool_.size(); ++n) {
     double* row = patterns_.data() + n * stride_;
     const std::uint32_t id = id_pool_[n];
     for (std::size_t b = 0; b < width; ++b) {
-      row[b] = id_bit(id, static_cast<int>(b), golden_->width) -
+      row[b] = id_bit(id, static_cast<int>(b)) -
                golden_->mean_probability[b];
     }
     if (pairs > 0) {
-      for (int i = 0; i < golden_->width - 1; ++i) {
-        const double bi = id_bit(id, i, golden_->width);
-        for (int j = i + 1; j < golden_->width; ++j) {
-          const auto idx =
-              static_cast<std::size_t>(pair_index(i, j, golden_->width));
-          row[width + idx] = bi * id_bit(id, j, golden_->width) -
+      for (int i = 0; i < can::kStdIdBits - 1; ++i) {
+        const double bi = id_bit(id, i);
+        for (int j = i + 1; j < can::kStdIdBits; ++j) {
+          const auto idx = static_cast<std::size_t>(pair_index(i, j));
+          row[width + idx] = bi * id_bit(id, j) -
                              golden_->mean_pair_probability[idx];
         }
       }
@@ -371,7 +368,7 @@ InferenceEngine::InferenceEngine(std::shared_ptr<const GoldenTemplate> golden,
 std::vector<BitConstraint> InferenceEngine::derive_constraints(
     const std::vector<double>& delta_p) const {
   std::vector<BitConstraint> constraints;
-  for (int i = 0; i < golden_->width; ++i) {
+  for (int i = 0; i < can::kStdIdBits; ++i) {
     const auto b = static_cast<std::size_t>(i);
     const double noise =
         std::max(kNoiseMultiplier * golden_->probability_range(i),
@@ -386,19 +383,18 @@ std::vector<BitConstraint> InferenceEngine::derive_constraints(
 bool InferenceEngine::satisfies(std::uint32_t id,
                                 const std::vector<BitConstraint>& cs) const {
   for (const BitConstraint& c : cs) {
-    const bool bit =
-        ((id >> (golden_->width - 1 - c.bit)) & 1u) != 0;
+    const bool bit = ((id >> (can::kStdIdBits - 1 - c.bit)) & 1u) != 0;
     if (bit != c.injected_bit) return false;
   }
   return true;
 }
 
 InferenceResult InferenceEngine::infer(const WindowSnapshot& window) const {
-  CANIDS_EXPECTS(window.width() == golden_->width);
-  const auto width = static_cast<std::size_t>(golden_->width);
+  CANIDS_EXPECTS(window.width() == can::kStdIdBits);
+  constexpr auto width = static_cast<std::size_t>(can::kStdIdBits);
   const bool use_pairs = golden_->has_pairs() && window.has_pairs();
   const std::size_t pairs =
-      use_pairs ? static_cast<std::size_t>(pair_count(golden_->width)) : 0;
+      use_pairs ? static_cast<std::size_t>(kPairCount) : 0;
   const std::size_t dims = width + pairs;
 
   // ---- Observation vector: marginal shifts, then pair shifts --------------

@@ -79,8 +79,8 @@ class InferenceEngine {
   std::shared_ptr<const GoldenTemplate> golden_;
   std::vector<std::uint32_t> id_pool_;  // ascending
   InferenceConfig config_;
-  /// Pattern length: the width's marginal features, then the template's
-  /// pair features (a window without pairs uses only the first `width`).
+  /// Pattern length: the 11 marginal features, then the template's pair
+  /// features (a window without pairs uses only the first 11).
   std::size_t stride_ = 0;
   /// Per-pool-ID centered feature patterns against the template (marginal
   /// and, when available, pairwise co-occurrence features), one row of

@@ -28,8 +28,10 @@ struct PipelineCounters {
   /// Malformed capture lines skipped at ingest (candump/vspy parsers).
   /// Counted by the ingest layer (run_fleet, CLI), not the backend itself.
   std::uint64_t parse_errors = 0;
-  /// Frames a detector backend could not judge and skipped (e.g. extended
-  /// 29-bit IDs against an 11-bit golden template). Subset of `frames`.
+  /// Extended 29-bit identifiers the bit-entropy backend skipped: they move
+  /// the window clock but are never counted (WindowAccumulator::dropped).
+  /// The whole-ID baselines judge every frame and report 0; an ensemble
+  /// reports its worst member. Subset of `frames`.
   std::uint64_t dropped_frames = 0;
   /// Frames discarded BEFORE the detector by drop-newest backpressure on a
   /// full stream queue (fleet engine / live service). Disjoint from

@@ -21,8 +21,8 @@ WindowSnapshot WindowAccumulator::snapshot(util::TimeNs start,
       snap.pair_probabilities = counters_.pair_probabilities();
     }
   } else {
-    snap.probabilities.assign(BitCounters::kWidth, 0.0);
-    snap.entropies.assign(BitCounters::kWidth, 0.0);
+    snap.probabilities.assign(can::kStdIdBits, 0.0);
+    snap.entropies.assign(can::kStdIdBits, 0.0);
   }
   return snap;
 }
@@ -30,7 +30,11 @@ WindowSnapshot WindowAccumulator::snapshot(util::TimeNs start,
 std::optional<WindowSnapshot> WindowAccumulator::add(util::TimeNs timestamp,
                                                      const can::CanId& id) {
   std::optional<WindowSnapshot> emitted = advance(timestamp);
-  count_one(id);
+  if (id.is_extended()) {
+    ++dropped_;
+  } else {
+    count_one(id);
+  }
   return emitted;
 }
 
@@ -49,7 +53,11 @@ void WindowAccumulator::add_batch(const can::TimedId* frames,
       scratch_ids_.clear();
       scratch_ids_.reserve(j - i);
       for (std::size_t k = i; k < j; ++k) {
-        scratch_ids_.push_back(frames[k].id.raw());
+        if (frames[k].id.is_extended()) {
+          ++dropped_;
+        } else {
+          scratch_ids_.push_back(frames[k].id.raw());
+        }
       }
       counters_.add_batch(scratch_ids_.data(), scratch_ids_.size(),
                           config_.track_pairs);

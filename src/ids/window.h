@@ -46,29 +46,29 @@ struct WindowConfig {
 /// Accumulates identifiers and emits a WindowSnapshot whenever a window
 /// closes. Windows are aligned to the first frame's timestamp; empty
 /// windows (bus silence) are skipped rather than emitted.
+///
+/// The one identifier rule training and detection share: a standard 11-bit
+/// identifier is counted; a 29-bit extended one only drives the window
+/// clock and is counted in dropped(). The counters, the template and the
+/// detector read 11 bits, and folding an extended ID's low bits into them
+/// would misplace it. Its timestamp still closes windows, so every
+/// detector's windows close on the same frames (the ensemble relies on it).
 class WindowAccumulator {
  public:
   explicit WindowAccumulator(WindowConfig config = {});
 
   /// Feed one identifier; returns a snapshot when this frame closed the
-  /// previous window (the frame itself is counted in the new window).
+  /// previous window (the frame itself belongs to the new window).
   std::optional<WindowSnapshot> add(util::TimeNs timestamp,
                                     const can::CanId& id);
 
   /// Batch path: feed `count` timestamped identifiers, appending the
   /// snapshot of every window they close to `out`. Bit-identical to
   /// calling add() per frame — the batch is split at window boundaries and
-  /// each in-window run is block-counted through the SIMD kernels
+  /// each in-window run's standard identifiers are block-counted
   /// (PairCounters::add_batch).
   void add_batch(const can::TimedId* frames, std::size_t count,
                  std::vector<WindowSnapshot>& out);
-
-  /// Advance the window clock without counting a frame — for frames the
-  /// caller must skip (e.g. width-mismatched identifiers) that still carry
-  /// time. Keeps this accumulator's window boundaries aligned with
-  /// detectors that do consume the skipped frame; may close a window
-  /// exactly like add().
-  std::optional<WindowSnapshot> advance(util::TimeNs timestamp);
 
   /// Emit whatever has accumulated (e.g. at end of trace); empty -> nullopt.
   std::optional<WindowSnapshot> flush();
@@ -77,10 +77,16 @@ class WindowAccumulator {
   [[nodiscard]] std::uint64_t frames_in_current() const noexcept {
     return counters_.total();
   }
+  /// Extended identifiers fed so far: timed, never counted.
+  [[nodiscard]] std::uint64_t dropped() const noexcept { return dropped_; }
 
  private:
   [[nodiscard]] WindowSnapshot snapshot(util::TimeNs start,
                                         util::TimeNs end) const;
+
+  /// Move the window clock to `timestamp`; returns the snapshot of the
+  /// window this closes, if it held any frame.
+  std::optional<WindowSnapshot> advance(util::TimeNs timestamp);
 
   /// Count one identifier, paying the pair counters only when configured.
   void count_one(const can::CanId& id) {
@@ -95,6 +101,7 @@ class WindowAccumulator {
   PairCounters counters_;
   util::WindowClock clock_;
   util::TimeNs last_timestamp_ = 0;
+  std::uint64_t dropped_ = 0;
   std::vector<std::uint32_t> scratch_ids_;  ///< add_batch run buffer
 };
 

@@ -111,7 +111,7 @@ std::shared_ptr<const ids::GoldenTemplate> ExperimentRunner::train_shared() {
       (config_.training_windows + trace::kAllBehaviors.size() - 1) /
       trace::kAllBehaviors.size();
 
-  ids::TemplateBuilder builder(can::kStdIdBits);
+  ids::TemplateBuilder builder;
   std::size_t behavior_index = 0;
   while (builder.window_count() < config_.training_windows) {
     const trace::DrivingBehavior behavior =

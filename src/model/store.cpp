@@ -20,11 +20,11 @@ namespace {
 // raw IEEE-754 bits so loads are bit-exact). A layout change here must bump
 // kBundleFormatVersion: sections carry no version of their own.
 //
-//   golden-template  u32 width (1..32), u64 training_windows, then the six
-//                    per-bit f64 vectors of kBitVectors (width values each,
-//                    bit order), a 0/1 pairs byte, and when 1 the three
-//                    pair vectors of kPairVectors (pair_count(width) values
-//                    each, pair_index order)
+//   golden-template  u32 width (always 11: any other value is rejected),
+//                    u64 training_windows, then the six per-bit f64
+//                    vectors of kBitVectors (11 values each, bit order), a
+//                    0/1 pairs byte, and when 1 the three pair vectors of
+//                    kPairVectors (55 values each, pair_index order)
 //   symbol-entropy   f64 alpha, f64 min_threshold, u64 min_window_frames,
 //                    f64 mean entropy, f64 threshold
 //   interval         f64 fast_ratio, u32 violations_to_alert, a 0/1
@@ -48,20 +48,20 @@ constexpr std::array<TemplateVector, 3> kPairVectors = {
     &ids::GoldenTemplate::max_pair_probability,
 };
 
+constexpr auto kBits = static_cast<std::size_t>(can::kStdIdBits);
+constexpr auto kPairs = static_cast<std::size_t>(ids::kPairCount);
+
 void write_golden(util::BinaryWriter& out, const ids::GoldenTemplate& golden) {
-  CANIDS_EXPECTS(golden.width > 0 && golden.width <= 32);
-  const auto bits = static_cast<std::size_t>(golden.width);
-  const auto pairs = static_cast<std::size_t>(ids::pair_count(golden.width));
-  out.u32(static_cast<std::uint32_t>(golden.width));
+  out.u32(static_cast<std::uint32_t>(kBits));
   out.u64(golden.training_windows);
   for (const TemplateVector vector : kBitVectors) {
-    CANIDS_EXPECTS((golden.*vector).size() == bits);
+    CANIDS_EXPECTS((golden.*vector).size() == kBits);
     for (const double value : golden.*vector) out.f64(value);
   }
   out.u8(golden.has_pairs() ? 1 : 0);
   if (!golden.has_pairs()) return;
   for (const TemplateVector vector : kPairVectors) {
-    CANIDS_EXPECTS((golden.*vector).size() == pairs);
+    CANIDS_EXPECTS((golden.*vector).size() == kPairs);
     for (const double value : golden.*vector) out.f64(value);
   }
 }
@@ -105,26 +105,25 @@ double finite(util::BinaryReader& in, const char* what) {
 std::vector<double> finite_vector(util::BinaryReader& in, std::size_t count,
                                   const char* what) {
   std::vector<double> values;
-  values.reserve(count);  // at most pair_count(32) = 496
+  values.reserve(count);  // at most 55 pair statistics
   for (std::size_t i = 0; i < count; ++i) values.push_back(finite(in, what));
   return values;
 }
 
 ids::GoldenTemplate read_golden(util::BinaryReader& in) {
   const std::uint32_t width = in.u32("width");
-  if (width == 0 || width > 32) {
-    in.fail("width " + std::to_string(width) + " outside [1, 32]");
+  if (width != kBits) {
+    in.fail("width " + std::to_string(width) +
+            " is not 11 (the template counts standard identifier bits)");
   }
   ids::GoldenTemplate golden;
-  golden.width = static_cast<int>(width);
   golden.training_windows = in.u64("training window count");
   for (const TemplateVector vector : kBitVectors) {
-    golden.*vector = finite_vector(in, width, "bit statistic");
+    golden.*vector = finite_vector(in, kBits, "bit statistic");
   }
   if (in.boolean("pairs flag")) {
-    const auto pairs = static_cast<std::size_t>(ids::pair_count(golden.width));
     for (const TemplateVector vector : kPairVectors) {
-      golden.*vector = finite_vector(in, pairs, "pair statistic");
+      golden.*vector = finite_vector(in, kPairs, "pair statistic");
     }
   }
   return golden;
@@ -243,7 +242,7 @@ std::string describe_section(const ModelBundle::Section& section) {
   std::ostringstream out;
   if (section.name == kGoldenSection) {
     const ids::GoldenTemplate golden = decode(section, read_golden);
-    out << "width " << golden.width << ", " << golden.training_windows
+    out << "width " << kBits << ", " << golden.training_windows
         << " training windows, pairs " << (golden.has_pairs() ? "yes" : "no");
   } else if (section.name == kMuterSection) {
     const baselines::MuterEntropyIds muter = decode(section, read_muter);

@@ -13,8 +13,13 @@
 #include <vector>
 
 #include "analysis/registry.h"
+#include "attacks/scenario.h"
+#include "baselines/interval_ids.h"
+#include "can/bus.h"
 #include "ids/bit_counters.h"
 #include "ids/golden_template.h"
+#include "metrics/experiment.h"
+#include "trace/synthetic_vehicle.h"
 #include "trace/trace_source.h"
 #include "util/rng.h"
 
@@ -27,6 +32,13 @@ using ids::PipelineConfig;
 using ids::TemplateBuilder;
 using ids::WindowSnapshot;
 using util::kSecond;
+
+/// One frame as a one-item batch (push_batch is the only way in).
+void push_one(FleetEngine::Stream& stream, util::TimeNs timestamp,
+              can::CanId id) {
+  const FleetEngine::FrameItem item{timestamp, id};
+  stream.push_batch(&item, 1);
+}
 
 /// Fleet fixture: one shared template, per-vehicle deterministic frame
 /// streams (clean mix plus optional injected bursts), mirroring the
@@ -440,7 +452,7 @@ TEST(FleetEngineTest, StreamsOpenedWhileRunningMatchPreStartStreams) {
     engine.start();
     if (!open_before_start) stream = engine.open_stream("veh");
     for (const can::TimedFrame& frame : frames) {
-      stream->push(frame.timestamp, frame.frame.id());
+      push_one(*stream, frame.timestamp, frame.frame.id());
     }
     stream->close();
     std::vector<StreamResult> results = engine.finish();
@@ -518,7 +530,7 @@ TEST(FleetEngineTest, MidWindowDisconnectFlushesFinalPartialWindow) {
   engine.start();
   FleetEngine::Stream stream = engine.open_stream("veh");
   for (const can::TimedFrame& frame : frames) {
-    stream.push(frame.timestamp, frame.frame.id());
+    push_one(stream, frame.timestamp, frame.frame.id());
   }
   stream.close();
   const std::vector<StreamResult> results = engine.finish();
@@ -541,7 +553,8 @@ TEST(FleetEngineTest, DropNewestBackpressureCountsDiscardedFrames) {
   FleetEngine::Stream stream = engine.open_stream("veh");
   const std::uint64_t pushed = 50;
   for (std::uint64_t i = 0; i < pushed; ++i) {
-    stream.push(static_cast<util::TimeNs>(i), can::CanId::standard(0x080));
+    push_one(stream, static_cast<util::TimeNs>(i),
+             can::CanId::standard(0x080));
   }
   EXPECT_GT(stream.queue_dropped(), 0u);
   EXPECT_LT(stream.queue_dropped(), pushed);
@@ -580,7 +593,7 @@ TEST(FleetEngineTest, ReloadingIdenticalModelsKeepsVerdictsAndBumpsGeneration) {
         models.golden = world.golden;
         engine.reload_models(models);
       }
-      stream.push(frames[i].timestamp, frames[i].frame.id());
+      push_one(stream, frames[i].timestamp, frames[i].frame.id());
     }
     stream.close();
     std::vector<StreamResult> results = engine.finish();
@@ -609,31 +622,147 @@ TEST(FleetEngineTest, ReloadingIdenticalModelsKeepsVerdictsAndBumpsGeneration) {
 }
 
 TEST(FleetEngineTest, ReloadRejectsIncompatibleModelsAtomically) {
+  // An ensemble takes a model set all or nothing. This set's template would
+  // suit the bit-entropy member, but its interval model is unfrozen, which
+  // the interval member refuses: the reload must fail whole, leaving the
+  // generation and the prototype (hence every stream cloned from it)
+  // untouched.
   const FleetWorld world;
-  FleetConfig config;
-  FleetEngine engine(world.bit_entropy(), config);
-  engine.start();
-  FleetEngine::Stream stream = engine.open_stream("veh");
-
-  // A template of a different bit width (29-bit extended vs the fleet's
-  // 11-bit standard) must be rejected whole — no stream half-reloaded,
-  // generation unchanged.
-  ids::TemplateBuilder builder(can::kExtIdBits);
-  ids::BitCountersT<can::kExtIdBits> counters;
-  for (int i = 0; i < 40; ++i) counters.add(0x1FF0001u);
-  ids::WindowSnapshot snap;
-  snap.frames = counters.total();
-  snap.probabilities = counters.probabilities();
-  snap.entropies = counters.entropies();
-  for (int w = 0; w < 3; ++w) builder.add_window(snap);
+  const std::vector<can::TimedFrame> frames = world.make_trace(83, 6, {2, 4});
+  TemplateBuilder single_id;
+  for (int w = 0; w < 3; ++w) {
+    BitCounters counters;
+    for (int i = 0; i < 40; ++i) counters.add(world.pool[4]);
+    WindowSnapshot snap;
+    snap.frames = counters.total();
+    snap.probabilities = counters.probabilities();
+    snap.entropies = counters.entropies();
+    single_id.add_window(snap);
+  }
   model::StoredModels bad;
-  bad.golden =
-      std::make_shared<const ids::GoldenTemplate>(builder.build(3));
-  EXPECT_THROW(engine.reload_models(bad), std::invalid_argument);
-  EXPECT_EQ(engine.model_generation(), 0u);
+  bad.golden = std::make_shared<const GoldenTemplate>(single_id.build(3));
+  bad.interval = std::make_shared<const baselines::IntervalIds>();
 
-  stream.close();
-  engine.finish();
+  const auto run = [&](bool try_reload) {
+    FleetConfig config;
+    config.collect_verdicts = true;
+    FleetEngine engine(
+        analysis::make_detector("ensemble", world.backend_options()), config);
+    engine.start();
+    if (try_reload) {
+      EXPECT_THROW(engine.reload_models(bad), std::invalid_argument);
+      EXPECT_EQ(engine.model_generation(), 0u);
+    }
+    FleetEngine::Stream stream = engine.open_stream("veh");
+    for (const can::TimedFrame& frame : frames) {
+      push_one(stream, frame.timestamp, frame.frame.id());
+    }
+    stream.close();
+    std::vector<StreamResult> results = engine.finish();
+    return std::move(results.at(0).verdicts);
+  };
+  const std::vector<analysis::WindowVerdict> untouched = run(false);
+  ASSERT_FALSE(untouched.empty());
+  EXPECT_EQ(run(true), untouched);
+}
+
+TEST(FleetEngineTest, FuzzedStreamLeavesCleanShardMateUndropped) {
+  // The pace is set for release speed. Unoptimised and sanitizer builds
+  // run inference many times slower, which says nothing about the engine.
+#if !defined(__OPTIMIZE__) || defined(__SANITIZE_ADDRESS__) || \
+    defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "paced test: needs an optimised build without sanitizers";
+#endif
+  // The live-service shape: one shard under drop-newest, a vehicle fuzzing
+  // at 100 Hz whose every alert runs malicious-ID inference (the stream
+  // has the vehicle's pool), and a clean vehicle on the same shard, both
+  // paced at 30x real time. A window then lasts ~33 ms of wall time, and
+  // inference runs inline on the shard worker, so the clean stream only
+  // stays lossless while an alert's inference fits inside that. Each ring
+  // holds 4,095 frames, ~4.6 s of the clean vehicle's traffic or ~150 ms
+  // of wall time: enough for scheduling jitter, but a shard that falls
+  // behind the pace overflows it within the drive. (The default ring
+  // holds 16,383, nearly the whole 17,697-frame clean drive, so nothing
+  // could overflow it here.)
+  constexpr double kSpeedup = 30.0;
+  constexpr util::TimeNs kDrive = 20 * kSecond;
+  const trace::SyntheticVehicle vehicle;
+  metrics::ExperimentRunner runner;
+  analysis::DetectorOptions options;
+  options.golden = runner.train_shared();
+  options.id_pool = vehicle.id_pool();
+
+  std::vector<can::TimedId> fuzzed;
+  {
+    can::BusSimulator bus(vehicle.config().bus);
+    vehicle.attach_to(bus, trace::DrivingBehavior::kCity, 21);
+    attacks::AttackConfig attack_config;
+    attack_config.frequency_hz = 100.0;
+    attack_config.start = 2 * kSecond;
+    attack_config.stop = kDrive - 2 * kSecond;
+    attacks::BuiltAttack attack = attacks::make_scenario(
+        attacks::ScenarioKind::kFuzzing, vehicle, attack_config,
+        util::Rng(22));
+    (void)attacks::attach_attack(bus, attack);
+    bus.add_listener([&fuzzed](const can::TimedFrame& frame) {
+      fuzzed.push_back(can::TimedId{frame.timestamp, frame.frame.id()});
+    });
+    bus.run_until(kDrive);
+  }
+  std::vector<can::TimedId> clean;
+  for (const trace::LogRecord& record :
+       vehicle.record_trace(trace::DrivingBehavior::kHighway, kDrive, 23)) {
+    clean.push_back(can::TimedId{record.timestamp, record.frame.id()});
+  }
+
+  FleetConfig config;
+  config.shards = 1;
+  config.queue_capacity = 2048;
+  config.on_full = BackpressurePolicy::kDropNewest;
+  config.collect_verdicts = true;
+  FleetEngine engine(analysis::make_detector("bit-entropy", options), config);
+  FleetEngine::Stream attacked = engine.open_stream("fuzzed");
+  FleetEngine::Stream quiet = engine.open_stream("clean");
+  engine.start();
+  // Open loop: each tick offers both streams everything due by then.
+  std::size_t next_fuzzed = 0;
+  std::size_t next_clean = 0;
+  const auto offer = [](FleetEngine::Stream& stream,
+                        const std::vector<can::TimedId>& frames,
+                        std::size_t& next, util::TimeNs due) {
+    std::size_t end = next;
+    while (end < frames.size() && frames[end].timestamp <= due) ++end;
+    stream.push_batch(frames.data() + next, end - next);
+    next = end;
+  };
+  const auto start = std::chrono::steady_clock::now();
+  while (next_fuzzed < fuzzed.size() || next_clean < clean.size()) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    const std::chrono::nanoseconds elapsed =
+        std::chrono::steady_clock::now() - start;
+    const auto due = static_cast<util::TimeNs>(
+        static_cast<double>(elapsed.count()) * kSpeedup);
+    offer(attacked, fuzzed, next_fuzzed, due);
+    offer(quiet, clean, next_clean, due);
+  }
+  attacked.close();
+  quiet.close();
+  const std::vector<StreamResult> results = engine.finish();
+
+  ASSERT_EQ(results.size(), 2u);
+  const StreamResult& fuzzed_result =
+      results[0].key == "fuzzed" ? results[0] : results[1];
+  const StreamResult& clean_result =
+      results[0].key == "clean" ? results[0] : results[1];
+  EXPECT_EQ(clean_result.counters.queue_dropped, 0u);
+  EXPECT_EQ(clean_result.counters.frames, clean.size());
+  const bool inferred = std::any_of(
+      fuzzed_result.verdicts.begin(), fuzzed_result.verdicts.end(),
+      [](const analysis::WindowVerdict& verdict) {
+        return verdict.alert && verdict.detail &&
+               !verdict.detail->ranked_candidates.empty();
+      });
+  EXPECT_TRUE(inferred);  // the shard really ran inference
 }
 
 TEST(FleetEngineTest, StatusReportsLiveCountersAndDrainState) {
@@ -645,7 +774,7 @@ TEST(FleetEngineTest, StatusReportsLiveCountersAndDrainState) {
 
   FleetEngine::Stream stream = engine.open_stream("veh-a");
   for (const can::TimedFrame& frame : frames) {
-    stream.push(frame.timestamp, frame.frame.id());
+    push_one(stream, frame.timestamp, frame.frame.id());
   }
   stream.record_parse_error();
 
@@ -689,7 +818,7 @@ TEST(FleetEngineTest, TelemetrySamplingDoesNotChangeVerdicts) {
         FleetEngine::Stream stream = engine.open_stream("veh");
         engine.start();
         for (const can::TimedFrame& frame : frames) {
-          stream.push(frame.timestamp, frame.frame.id());
+          push_one(stream, frame.timestamp, frame.frame.id());
         }
         stream.close();
         std::vector<StreamResult> results = engine.finish();
@@ -723,7 +852,7 @@ TEST(FleetEngineTest, PublishMetricsFoldsStatusIntoRegistry) {
   FleetEngine::Stream stream = engine.open_stream("veh");
   engine.start();
   for (const can::TimedFrame& frame : frames) {
-    stream.push(frame.timestamp, frame.frame.id());
+    push_one(stream, frame.timestamp, frame.frame.id());
   }
   stream.record_parse_error();
   stream.close();

@@ -4,11 +4,26 @@
 
 #include <cstdint>
 #include <numeric>
+#include <optional>
 #include <thread>
 #include <vector>
 
 namespace canids::engine {
 namespace {
+
+// One-item batches: the queue's only producer and consumer entry points are
+// the batch calls, so single items go through them too.
+template <typename T>
+bool push_one(SpscQueue<T>& queue, T value) {
+  return queue.try_push_batch(&value, 1) == 1;
+}
+
+template <typename T>
+std::optional<T> pop_one(SpscQueue<T>& queue) {
+  std::vector<T> out;
+  if (queue.pop_batch(out, 1) == 0) return std::nullopt;
+  return out.front();
+}
 
 TEST(SpscQueueTest, CapacityRoundsUpToPowerOfTwo) {
   EXPECT_EQ(SpscQueue<int>(1).capacity(), 2u);
@@ -19,33 +34,33 @@ TEST(SpscQueueTest, CapacityRoundsUpToPowerOfTwo) {
 
 TEST(SpscQueueTest, FifoOrderSingleThread) {
   SpscQueue<int> queue(8);
-  for (int i = 0; i < 7; ++i) EXPECT_TRUE(queue.try_push(i));
+  for (int i = 0; i < 7; ++i) EXPECT_TRUE(push_one(queue, i));
   for (int i = 0; i < 7; ++i) {
-    const auto value = queue.try_pop();
+    const auto value = pop_one(queue);
     ASSERT_TRUE(value.has_value());
     EXPECT_EQ(*value, i);
   }
-  EXPECT_FALSE(queue.try_pop().has_value());
+  EXPECT_FALSE(pop_one(queue).has_value());
 }
 
 TEST(SpscQueueTest, PushFailsWhenFullPopFailsWhenEmpty) {
   SpscQueue<int> queue(2);  // capacity 4, usable 3
-  EXPECT_FALSE(queue.try_pop().has_value());
-  EXPECT_TRUE(queue.try_push(1));
-  EXPECT_TRUE(queue.try_push(2));
-  EXPECT_TRUE(queue.try_push(3));
-  EXPECT_FALSE(queue.try_push(4));
+  EXPECT_FALSE(pop_one(queue).has_value());
+  EXPECT_TRUE(push_one(queue, 1));
+  EXPECT_TRUE(push_one(queue, 2));
+  EXPECT_TRUE(push_one(queue, 3));
+  EXPECT_FALSE(push_one(queue, 4));
   EXPECT_EQ(queue.size_approx(), 3u);
-  EXPECT_EQ(queue.try_pop(), 1);
-  EXPECT_TRUE(queue.try_push(4));  // slot freed, wraps around
-  EXPECT_EQ(queue.try_pop(), 2);
-  EXPECT_EQ(queue.try_pop(), 3);
-  EXPECT_EQ(queue.try_pop(), 4);
+  EXPECT_EQ(pop_one(queue), 1);
+  EXPECT_TRUE(push_one(queue, 4));  // slot freed, wraps around
+  EXPECT_EQ(pop_one(queue), 2);
+  EXPECT_EQ(pop_one(queue), 3);
+  EXPECT_EQ(pop_one(queue), 4);
 }
 
 TEST(SpscQueueTest, PopBatchDrainsInOrder) {
   SpscQueue<int> queue(16);
-  for (int i = 0; i < 10; ++i) EXPECT_TRUE(queue.try_push(i));
+  for (int i = 0; i < 10; ++i) EXPECT_TRUE(push_one(queue, i));
   std::vector<int> out;
   EXPECT_EQ(queue.pop_batch(out, 4), 4u);
   EXPECT_EQ(queue.pop_batch(out, 100), 6u);
@@ -60,7 +75,7 @@ TEST(SpscQueueTest, PushBatchFillsUpToCapacity) {
   const int values[10] = {0, 1, 2, 3, 4, 5, 6, 7, 8, 9};
   EXPECT_EQ(queue.try_push_batch(values, 10), 7u);
   EXPECT_EQ(queue.try_push_batch(values + 7, 3), 0u);
-  for (int i = 0; i < 3; ++i) EXPECT_EQ(queue.try_pop(), i);
+  for (int i = 0; i < 3; ++i) EXPECT_EQ(pop_one(queue), i);
   EXPECT_EQ(queue.try_push_batch(values + 7, 3), 3u);  // wraps around
   std::vector<int> out;
   EXPECT_EQ(queue.pop_batch(out, 100), 7u);
@@ -73,7 +88,7 @@ TEST(SpscQueueTest, TransfersEverythingAcrossThreadsInOrder) {
 
   std::thread producer([&queue] {
     for (std::uint32_t i = 0; i < kCount; ++i) {
-      while (!queue.try_push(i)) std::this_thread::yield();
+      while (!push_one(queue, i)) std::this_thread::yield();
     }
   });
 
@@ -94,7 +109,7 @@ TEST(SpscQueueTest, TransfersEverythingAcrossThreadsInOrder) {
   for (std::uint32_t i = 0; i < kCount; ++i) {
     ASSERT_EQ(received[i], i) << "reordered at " << i;
   }
-  EXPECT_FALSE(queue.try_pop().has_value());
+  EXPECT_FALSE(pop_one(queue).has_value());
 }
 
 }  // namespace

@@ -65,29 +65,12 @@ TEST(BitCountersTest, ResetClearsEverything) {
   EXPECT_EQ(counters.ones(5), 0u);
 }
 
-TEST(BitCountersTest, AddCanIdChecksWidth) {
-  BitCounters counters;
-  counters.add(can::CanId::standard(0x123));
-  EXPECT_EQ(counters.total(), 1u);
-  EXPECT_THROW(counters.add(can::CanId::extended(0x123)),
-               canids::ContractViolation);
-}
-
-TEST(BitCountersTest, ExtendedCounterWorks) {
-  BitCounters29 counters;
-  counters.add(0x10000000u);  // MSB of the 29-bit space
-  EXPECT_DOUBLE_EQ(counters.probability(0), 1.0);
-  EXPECT_DOUBLE_EQ(counters.probability(28), 0.0);
-}
-
 TEST(BitCountersTest, StateBytesIsConstantAndSmall) {
   // The §V.E claim: per-bus state independent of traffic. 11 counters
-  // padded to whole lane words for the SIMD spill (12 * 8 bytes) + total
-  // (8) plus the hot path's lane accumulator padded to one 256-bit vector
+  // padded to whole lane words for the lane spill (12 * 8 bytes) + total
+  // (8) plus the hot path's lane accumulator padded to a four-word row
   // (32) and pending count (4).
   EXPECT_EQ(BitCounters::state_bytes(), 96u + 8u + 32u + 4u);
-  // The 29-bit counter has no lane table: 29 counters + total.
-  EXPECT_EQ(BitCounters29::state_bytes(), 240u);
 }
 
 TEST(BitCountersTest, OnesRejectsOutOfRangeBit) {
@@ -124,13 +107,12 @@ TEST(PairIndexTest, FlatLayoutIsDenseAndOrdered) {
   int expected = 0;
   for (int i = 0; i < 10; ++i) {
     for (int j = i + 1; j < 11; ++j) {
-      EXPECT_EQ(pair_index(i, j, 11), expected);
+      EXPECT_EQ(pair_index(i, j), expected);
       ++expected;
     }
   }
-  EXPECT_EQ(expected, pair_count(11));
-  EXPECT_EQ(pair_count(11), 55);
-  EXPECT_EQ(pair_count(29), 406);
+  EXPECT_EQ(expected, kPairCount);
+  EXPECT_EQ(kPairCount, 55);
 }
 
 TEST(PairCountersTest, AllOnesIdSetsEveryPair) {

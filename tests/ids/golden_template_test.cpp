@@ -59,9 +59,13 @@ TEST(TemplateBuilderTest, RejectsEmptyWindow) {
 }
 
 TEST(TemplateBuilderTest, RejectsWidthMismatch) {
-  TemplateBuilder builder(29);
-  EXPECT_THROW(builder.add_window(window_with(0.5)),
-               canids::ContractViolation);
+  // The template counts the 11 bits of a standard identifier; a window of
+  // any other width is a caller bug.
+  WindowSnapshot wide = window_with(0.5);
+  wide.probabilities.assign(can::kExtIdBits, 0.5);
+  wide.entropies.assign(can::kExtIdBits, 1.0);
+  TemplateBuilder builder;
+  EXPECT_THROW(builder.add_window(wide), canids::ContractViolation);
 }
 
 TEST(TemplateBuilderTest, RejectsTooSmallMinWindows) {
@@ -74,7 +78,7 @@ TEST(TemplateBuilderTest, RejectsTooSmallMinWindows) {
 WindowSnapshot window_with_pairs(double p, double q,
                                  std::uint64_t frames = 1000) {
   WindowSnapshot snap = window_with(p, frames);
-  snap.pair_probabilities.assign(static_cast<std::size_t>(pair_count(11)), q);
+  snap.pair_probabilities.assign(static_cast<std::size_t>(kPairCount), q);
   return snap;
 }
 
@@ -85,7 +89,7 @@ TEST(GoldenTemplateTest, PairStatisticsAggregated) {
   const GoldenTemplate tpl = builder.build();
   ASSERT_TRUE(tpl.has_pairs());
   ASSERT_EQ(tpl.mean_pair_probability.size(),
-            static_cast<std::size_t>(pair_count(11)));
+            static_cast<std::size_t>(kPairCount));
   for (std::size_t idx = 0; idx < tpl.mean_pair_probability.size(); ++idx) {
     EXPECT_NEAR(tpl.mean_pair_probability[idx], 0.15, 1e-12);
     EXPECT_DOUBLE_EQ(tpl.min_pair_probability[idx], 0.10);

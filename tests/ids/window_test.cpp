@@ -4,6 +4,9 @@
 
 #include <vector>
 
+#include "ids/golden_template.h"
+#include "util/rng.h"
+
 namespace canids::ids {
 namespace {
 
@@ -116,7 +119,7 @@ TEST(WindowAccumulatorTest, PairTrackingOnByDefault) {
   ASSERT_TRUE(snap.has_value());
   ASSERT_TRUE(snap->has_pairs());
   ASSERT_EQ(snap->pair_probabilities.size(),
-            static_cast<std::size_t>(pair_count(11)));
+            static_cast<std::size_t>(kPairCount));
   for (double q : snap->pair_probabilities) EXPECT_DOUBLE_EQ(q, 1.0);
 }
 
@@ -129,6 +132,96 @@ TEST(WindowAccumulatorTest, PairTrackingCanBeDisabled) {
   const auto snap = acc.flush();
   ASSERT_TRUE(snap.has_value());
   EXPECT_FALSE(snap->has_pairs());
+}
+
+// ---- the extended-identifier rule ------------------------------------------
+
+/// A CAN 2.0B diagnostic identifier, the kind a mixed capture carries.
+constexpr std::uint32_t kExtendedId = 0x18DB33F1;
+
+/// ~10 s of standard-ID traffic; `mixed` is the same stream with one
+/// extended frame after every 7th frame, at that frame's timestamp.
+struct MixedStream {
+  std::vector<can::TimedId> clean;
+  std::vector<can::TimedId> mixed;
+  std::uint64_t interleaved = 0;
+
+  MixedStream() {
+    util::Rng rng(17);
+    util::TimeNs now = 0;
+    for (int i = 0; i < 6'000; ++i) {
+      now += static_cast<util::TimeNs>(rng.below(3'000'000)) + 1;
+      const can::TimedId frame{
+          now,
+          can::CanId::standard(static_cast<std::uint32_t>(rng.below(0x800)))};
+      clean.push_back(frame);
+      mixed.push_back(frame);
+      if (i % 7 == 0) {
+        mixed.push_back(can::TimedId{now, can::CanId::extended(kExtendedId)});
+        ++interleaved;
+      }
+    }
+  }
+};
+
+std::vector<WindowSnapshot> per_frame(WindowAccumulator& acc,
+                                      const std::vector<can::TimedId>& frames) {
+  std::vector<WindowSnapshot> out;
+  for (const can::TimedId& frame : frames) {
+    if (auto snap = acc.add(frame.timestamp, frame.id)) {
+      out.push_back(std::move(*snap));
+    }
+  }
+  if (auto snap = acc.flush()) out.push_back(std::move(*snap));
+  return out;
+}
+
+std::vector<WindowSnapshot> batched(WindowAccumulator& acc,
+                                    const std::vector<can::TimedId>& frames) {
+  std::vector<WindowSnapshot> out;
+  for (std::size_t i = 0; i < frames.size(); i += 333) {
+    acc.add_batch(frames.data() + i,
+                  std::min<std::size_t>(333, frames.size() - i), out);
+  }
+  if (auto snap = acc.flush()) out.push_back(std::move(*snap));
+  return out;
+}
+
+TEST(WindowAccumulatorTest, ExtendedIdsDriveTheClockButAreNotCounted) {
+  const MixedStream stream;
+  WindowAccumulator reference;
+  const std::vector<WindowSnapshot> expected =
+      per_frame(reference, stream.clean);
+  ASSERT_GT(expected.size(), 5u);
+  EXPECT_EQ(reference.dropped(), 0u);
+
+  WindowAccumulator one_by_one;
+  EXPECT_EQ(per_frame(one_by_one, stream.mixed), expected);
+  EXPECT_EQ(one_by_one.dropped(), stream.interleaved);
+
+  WindowAccumulator in_blocks;
+  EXPECT_EQ(batched(in_blocks, stream.mixed), expected);
+  EXPECT_EQ(in_blocks.dropped(), stream.interleaved);
+}
+
+TEST(WindowsOfTest, TrainingSkipsExtendedIdsLikeDetection) {
+  // windows_of is the training path: extended frames must leave the
+  // template exactly as the clean stream builds it.
+  const MixedStream stream;
+  const auto template_of = [](const std::vector<can::TimedId>& ids) {
+    std::vector<can::TimedFrame> frames;
+    for (const can::TimedId& id : ids) {
+      frames.push_back(can::TimedFrame{
+          id.timestamp, can::Frame::data_frame(id.id, {}),
+          can::TimedFrame::kUnknownSource});
+    }
+    TemplateBuilder builder;
+    for (const WindowSnapshot& snap : windows_of(frames, WindowConfig{})) {
+      builder.add_window(snap);
+    }
+    return builder.build();
+  };
+  EXPECT_EQ(template_of(stream.mixed), template_of(stream.clean));
 }
 
 }  // namespace

@@ -26,7 +26,7 @@ TEST(EndToEndTest, TemplateTrainsFromDiverseBehaviours) {
   ExperimentRunner runner(fast_config());
   const ids::GoldenTemplate& golden = runner.train();
   EXPECT_EQ(golden.training_windows, 14u);
-  EXPECT_EQ(golden.width, 11);
+  EXPECT_EQ(golden.mean_entropy.size(), 11u);
   // The per-bit mean probabilities reflect real traffic: never degenerate
   // on all bits (the pool spans the ID range).
   double p_spread = 0.0;

@@ -118,15 +118,19 @@ TEST(ModelBundleTest, RejectsTrailingBytesAfterLastSection) {
 // ---- fixtures --------------------------------------------------------------
 
 ids::GoldenTemplate trained_template() {
-  ids::TemplateBuilder builder(4);
+  ids::TemplateBuilder builder;
   for (int w = 0; w < 3; ++w) {
     ids::WindowSnapshot snap;
     snap.start = w * util::kSecond;
     snap.end = (w + 1) * util::kSecond;
     snap.frames = 50;
-    snap.entropies = {0.1 + 0.01 * w, 0.5, 0.9 - 0.01 * w, 0.3};
-    snap.probabilities = {0.2, 0.4 + 0.02 * w, 0.6, 0.8};
-    snap.pair_probabilities = {0.05, 0.1 + 0.01 * w, 0.15, 0.2, 0.25, 0.3};
+    for (int bit = 0; bit < can::kStdIdBits; ++bit) {
+      snap.entropies.push_back(0.05 + 0.08 * bit + 0.01 * w);
+      snap.probabilities.push_back(0.9 - 0.07 * bit + 0.02 * w);
+    }
+    for (int pair = 0; pair < ids::kPairCount; ++pair) {
+      snap.pair_probabilities.push_back(0.005 * pair + 0.01 * w);
+    }
     builder.add_window(snap);
   }
   return builder.build();
@@ -265,7 +269,7 @@ TEST(ModelCodecTest, PaperSizedTemplateRoundTripsBitExactly) {
       snap.probabilities.push_back(p);
       snap.entropies.push_back(ids::binary_entropy(p));
     }
-    for (int pair = 0; pair < ids::pair_count(11); ++pair) {
+    for (int pair = 0; pair < ids::kPairCount; ++pair) {
       snap.pair_probabilities.push_back(rng.uniform(0.0, 0.4));
     }
     builder.add_window(snap);
@@ -280,7 +284,9 @@ TEST(ModelCodecTest, PaperSizedTemplateRoundTripsBitExactly) {
 
 // Pins the packed bytes of the fixture set: any change to a section layout
 // or to the bundle framing fails here, and must bump kBundleFormatVersion
-// along with these numbers.
+// along with these numbers. They were taken from this fixture packed by the
+// codec that still stored the template width as a field, so a pass here
+// also shows fixing the width at 11 moved no byte.
 TEST(ModelCodecTest, PackedFixtureBytesArePinned) {
   const std::string bytes = bundle_bytes(pack(fixture_set()));
   std::uint64_t digest = 0xCBF29CE484222325ULL;
@@ -289,8 +295,8 @@ TEST(ModelCodecTest, PackedFixtureBytesArePinned) {
     digest *= 0x100000001B3ULL;
   }
   EXPECT_EQ(kBundleFormatVersion, 2u);
-  EXPECT_EQ(bytes.size(), 531u);
-  EXPECT_EQ(digest, 0x77CCFCACFE06A096ULL);
+  EXPECT_EQ(bytes.size(), 2043u);
+  EXPECT_EQ(digest, 0x0681D017E87B59BDULL);
 }
 
 TEST(ModelCodecTest, RejectsTruncationAndTrailingBytesInEverySection) {
@@ -306,12 +312,12 @@ TEST(ModelCodecTest, RejectsTruncationAndTrailingBytesInEverySection) {
 }
 
 TEST(ModelCodecTest, GoldenRejectsOutOfRangeValues) {
-  // Layout: u32 width, u64 training windows, 6 x width f64 bit statistics,
-  // the pairs byte, then 3 x pair_count(width) f64 pair statistics.
+  // Layout: u32 width, u64 training windows, 6 x 11 f64 bit statistics,
+  // the pairs byte, then 3 x 55 f64 pair statistics.
   const std::string golden = *pack(fixture_set()).find(kGoldenSection);
   const std::size_t bit_stats = 12;
-  const std::size_t pairs_byte = bit_stats + 6 * 4 * 8;
-  ASSERT_EQ(golden.size(), pairs_byte + 1 + 3 * 6 * 8);
+  const std::size_t pairs_byte = bit_stats + 6 * 11 * 8;
+  ASSERT_EQ(golden.size(), pairs_byte + 1 + 3 * 55 * 8);
   ASSERT_EQ(golden[pairs_byte], 1);
 
   expect_rejected(kGoldenSection, patched(golden, 0, u32_bytes(0)),
@@ -335,6 +341,39 @@ TEST(ModelCodecTest, GoldenRejectsOutOfRangeValues) {
   expect_rejected(kGoldenSection,
                   patched(golden, pairs_byte, std::string(1, '\0')),
                   "pair statistics after a pairs byte of 0");
+}
+
+TEST(ModelCodecTest, GoldenRejectsEveryWidthButEleven) {
+  // Whole, well-formed sections of another width — every statistic the
+  // width implies is present — are rejected by the width alone, and the
+  // error names the section and the width.
+  for (const std::uint32_t width : {10u, 12u, 29u}) {
+    const std::size_t pairs = width * (width - 1) / 2;
+    const std::string payload = raw_bytes([&](util::BinaryWriter& out) {
+      out.u32(width);
+      out.u64(3);
+      for (std::size_t i = 0; i < 6 * width; ++i) out.f64(0.25);
+      out.u8(1);
+      for (std::size_t i = 0; i < 3 * pairs; ++i) out.f64(0.0625);
+    });
+    const ModelBundle bundle = one_section(kGoldenSection, payload);
+    for (const bool inspect : {false, true}) {
+      try {
+        if (inspect) {
+          (void)describe_section(bundle.sections().front());
+        } else {
+          (void)unpack(bundle);
+        }
+        ADD_FAILURE() << "width " << width << " accepted";
+      } catch (const std::runtime_error& e) {
+        const std::string message = e.what();
+        EXPECT_NE(message.find(kGoldenSection), std::string::npos) << message;
+        EXPECT_NE(message.find("width " + std::to_string(width)),
+                  std::string::npos)
+            << message;
+      }
+    }
+  }
 }
 
 TEST(ModelCodecTest, MuterRejectsOutOfRangeValues) {

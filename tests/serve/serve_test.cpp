@@ -345,7 +345,9 @@ std::vector<std::string> direct_alert_lines(
   engine::FleetEngine::Stream stream = engine.open_stream("bus");
   engine.start();
   for (const trace::LogRecord& record : records) {
-    stream.push(record.timestamp, record.frame.id());
+    const engine::FleetEngine::FrameItem item{record.timestamp,
+                                              record.frame.id()};
+    stream.push_batch(&item, 1);
   }
   stream.close();
   engine.finish();

@@ -334,6 +334,12 @@ int cmd_train(const std::string& out_path,
       interval_model.train(record.timestamp, record.frame.id().raw());
     }
     std::printf("%s: %zu full windows\n", path.c_str(), used);
+    if (accumulator.dropped() > 0) {
+      std::printf("%s: %llu extended (29-bit) frames skipped; the template "
+                  "counts 11-bit identifiers only\n",
+                  path.c_str(),
+                  static_cast<unsigned long long>(accumulator.dropped()));
+    }
   }
   interval_model.finish_training();
 
