@@ -93,13 +93,6 @@ bool DetectorRegistry::contains(std::string_view name) const {
   return find(name) != nullptr;
 }
 
-std::vector<std::string> DetectorRegistry::names() const {
-  std::vector<std::string> out;
-  out.reserve(entries_.size());
-  for (const Entry& entry : entries_) out.push_back(entry.info.name);
-  return out;
-}
-
 std::vector<DetectorInfo> DetectorRegistry::list() const {
   std::vector<DetectorInfo> out;
   out.reserve(entries_.size());

@@ -65,9 +65,7 @@ class DetectorRegistry {
   [[nodiscard]] static const DetectorRegistry& instance();
 
   [[nodiscard]] bool contains(std::string_view name) const;
-  /// Registered names in a fixed order.
-  [[nodiscard]] std::vector<std::string> names() const;
-  /// Static metadata of every registered backend, same order as names().
+  /// Static metadata of every registered backend, in a fixed order.
   [[nodiscard]] std::vector<DetectorInfo> list() const;
 
   /// Construct a backend. Throws UnknownDetectorError for unknown names

@@ -197,10 +197,6 @@ std::string_view scenario_token(ScenarioKind kind) noexcept {
   return traits_of(kind).token;
 }
 
-int scenario_id_count(ScenarioKind kind) noexcept {
-  return traits_of(kind).id_count;
-}
-
 bool scenario_inferable(ScenarioKind kind) noexcept {
   return traits_of(kind).inferable;
 }

@@ -266,7 +266,6 @@ inline constexpr std::array<ScenarioKind, kScenarioKindCount> kAllScenarios =
 /// Short machine token ("flood", "replay", ...) used by campaign specs,
 /// report columns, and `canids simulate --attack`.
 [[nodiscard]] std::string_view scenario_token(ScenarioKind kind) noexcept;
-[[nodiscard]] int scenario_id_count(ScenarioKind kind) noexcept;
 [[nodiscard]] bool scenario_inferable(ScenarioKind kind) noexcept;
 
 /// A fully-built attacker: the node (to hand to the bus) plus the ground

@@ -19,11 +19,9 @@ bool TransmitterFilter::allows(const can::Frame& frame) const noexcept {
 
 std::function<bool(const can::Frame&)> TransmitterFilter::as_predicate()
     const {
-  // Copy the (small) allowed set so the predicate outlives the filter.
-  return [allowed = allowed_](const can::Frame& frame) {
-    if (frame.id().is_extended()) return false;
-    return std::binary_search(allowed.begin(), allowed.end(),
-                              frame.id().raw());
+  // Copy the filter (a small sorted set) so the predicate outlives it.
+  return [filter = *this](const can::Frame& frame) {
+    return filter.allows(frame);
   };
 }
 

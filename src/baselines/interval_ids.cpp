@@ -103,9 +103,4 @@ std::size_t IntervalIds::state_bytes() const noexcept {
   return learned_.size() * (sizeof(std::uint32_t) + sizeof(RunState));
 }
 
-util::TimeNs IntervalIds::learned_interval(std::uint32_t id) const {
-  const auto it = learned_.find(id);
-  return it == learned_.end() ? 0 : it->second.mean_interval;
-}
-
 }  // namespace canids::baselines

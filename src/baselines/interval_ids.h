@@ -80,9 +80,6 @@ class IntervalIds {
   /// Bytes of per-ID learned + runtime state (the §V.E storage argument).
   [[nodiscard]] std::size_t state_bytes() const noexcept;
 
-  /// Learned mean interval of an ID; 0 when unknown.
-  [[nodiscard]] util::TimeNs learned_interval(std::uint32_t id) const;
-
  private:
   struct TrainState {
     util::TimeNs last_seen = -1;

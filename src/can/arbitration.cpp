@@ -29,12 +29,6 @@ BitString arbitration_bits(const Frame& frame) {
   return bits;
 }
 
-bool arbitration_wins(const Frame& a, const Frame& b) {
-  const Frame contenders[] = {a, b};
-  const ArbitrationResult result = arbitrate(contenders);
-  return result.winner == 0 && result.tied_with_winner.empty();
-}
-
 ArbitrationResult arbitrate(std::span<const Frame> contenders) {
   CANIDS_EXPECTS(!contenders.empty());
 

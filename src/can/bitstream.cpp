@@ -1,7 +1,5 @@
 #include "can/bitstream.h"
 
-#include <stdexcept>
-
 #include "can/crc15.h"
 
 namespace canids::can {
@@ -23,10 +21,6 @@ void BitString::append_bits(std::uint32_t value, int count) {
 void BitString::append_repeated(bool bit, int count) {
   CANIDS_EXPECTS(count >= 0);
   bits_.insert(bits_.end(), static_cast<std::size_t>(count), bit);
-}
-
-void BitString::append(const BitString& other) {
-  bits_.insert(bits_.end(), other.bits_.begin(), other.bits_.end());
 }
 
 std::string BitString::to_string() const {
@@ -126,59 +120,8 @@ BitString stuff(const BitString& raw, std::size_t stuffable_bits) {
   return out;
 }
 
-BitString destuff(const BitString& stuffed,
-                  std::size_t stuffable_bits_expected) {
-  BitString out;
-  int run = 0;
-  bool run_bit = kRecessive;
-  bool expect_stuff_bit = false;
-  for (std::size_t i = 0; i < stuffed.size(); ++i) {
-    const bool bit = stuffed[i];
-    if (out.size() >= stuffable_bits_expected && !expect_stuff_bit) {
-      // Past the stuff region: copy the fixed-form tail verbatim.
-      out.push_back(bit);
-      continue;
-    }
-    if (expect_stuff_bit) {
-      if (bit == run_bit) {
-        throw std::invalid_argument(
-            "stuff error: six identical consecutive bits at position " +
-            std::to_string(i));
-      }
-      expect_stuff_bit = false;
-      run = 1;
-      run_bit = bit;
-      continue;  // stuff bit is dropped
-    }
-    out.push_back(bit);
-    if (run > 0 && bit == run_bit) {
-      ++run;
-    } else {
-      run = 1;
-      run_bit = bit;
-    }
-    // A run of five triggers a stuff bit even when it completes exactly at
-    // the region boundary, matching the transmitter's rule above.
-    if (run == 5) expect_stuff_bit = true;
-  }
-  if (expect_stuff_bit) {
-    throw std::invalid_argument("truncated input: missing final stuff bit");
-  }
-  return out;
-}
-
 std::size_t wire_bit_length(const Frame& frame) {
   return serialize(frame).stuffed.size();
-}
-
-std::size_t max_wire_bit_length(IdFormat format, int dlc) noexcept {
-  // Standard data frame: 1 SOF + 11 ID + 1 RTR + 2 control + 4 DLC + 8*dlc
-  // data + 15 CRC = 34 + 8*dlc stuffable bits; worst-case stuffing adds
-  // floor((n-1)/4); plus 10 fixed tail bits (delimiters, ACK, EOF).
-  const int stuffable =
-      (format == IdFormat::kStandard ? 34 : 54) + 8 * dlc;
-  const int worst_stuff = (stuffable - 1) / 4;
-  return static_cast<std::size_t>(stuffable + worst_stuff + 10);
 }
 
 util::TimeNs transmit_duration(const Frame& frame, std::uint32_t bitrate_bps) {

@@ -27,8 +27,6 @@ class BitString {
   /// Append `count` copies of `bit`.
   void append_repeated(bool bit, int count);
 
-  void append(const BitString& other);
-
   [[nodiscard]] std::size_t size() const noexcept { return bits_.size(); }
   [[nodiscard]] bool empty() const noexcept { return bits_.empty(); }
   [[nodiscard]] bool operator[](std::size_t i) const { return bits_[i]; }
@@ -78,18 +76,8 @@ struct SerializedFrame {
 /// tail is copied verbatim), matching CAN's SOF..CRC stuffing region.
 [[nodiscard]] BitString stuff(const BitString& raw, std::size_t stuffable_bits);
 
-/// Remove stuff bits; the inverse of stuff(). Throws std::invalid_argument
-/// if the input violates the stuffing rule (six identical consecutive bits
-/// inside the stuffed region), which on a real bus is a stuff error.
-[[nodiscard]] BitString destuff(const BitString& stuffed,
-                                std::size_t stuffable_bits_expected);
-
 /// Number of on-wire bits of the frame including stuff bits (SOF..EOF).
 [[nodiscard]] std::size_t wire_bit_length(const Frame& frame);
-
-/// Worst-case (maximum) wire length for a frame with `dlc` data bytes in the
-/// given format; useful for bandwidth bounds.
-[[nodiscard]] std::size_t max_wire_bit_length(IdFormat format, int dlc) noexcept;
 
 /// Transmission duration at `bitrate_bps` (excluding interframe space).
 [[nodiscard]] util::TimeNs transmit_duration(const Frame& frame,

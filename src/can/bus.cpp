@@ -24,11 +24,6 @@ Node& BusSimulator::node(int index) {
   return *nodes_[static_cast<std::size_t>(index)];
 }
 
-const Node& BusSimulator::node(int index) const {
-  CANIDS_EXPECTS(index >= 0 && static_cast<std::size_t>(index) < nodes_.size());
-  return *nodes_[static_cast<std::size_t>(index)];
-}
-
 int BusSimulator::find_node(std::string_view name) const noexcept {
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
     if (nodes_[i]->name() == name) return static_cast<int>(i);

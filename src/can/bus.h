@@ -70,7 +70,6 @@ class BusSimulator {
     return nodes_.size();
   }
   [[nodiscard]] Node& node(int index);
-  [[nodiscard]] const Node& node(int index) const;
 
   /// Find a node index by name; -1 when absent.
   [[nodiscard]] int find_node(std::string_view name) const noexcept;

@@ -5,7 +5,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 
 namespace canids::can {
 
@@ -22,18 +21,6 @@ class Crc15 {
     if (bit != crc_msb) reg_ ^= kCrc15Polynomial;
   }
 
-  /// Shift in the bits of `value`, MSB-first, `count` bits wide.
-  constexpr void push_bits(std::uint32_t value, int count) noexcept {
-    for (int i = count - 1; i >= 0; --i) {
-      push_bit(((value >> i) & 1u) != 0);
-    }
-  }
-
-  /// Shift in whole bytes MSB-first.
-  constexpr void push_bytes(std::span<const std::uint8_t> bytes) noexcept {
-    for (std::uint8_t b : bytes) push_bits(b, 8);
-  }
-
   [[nodiscard]] constexpr std::uint16_t value() const noexcept { return reg_; }
 
   constexpr void reset() noexcept { reg_ = 0; }
@@ -41,8 +28,5 @@ class Crc15 {
  private:
   std::uint16_t reg_ = 0;
 };
-
-/// One-shot CRC over a byte sequence (MSB-first per byte).
-[[nodiscard]] std::uint16_t crc15_of(std::span<const std::uint8_t> bytes) noexcept;
 
 }  // namespace canids::can

@@ -66,7 +66,7 @@ class CanId {
     return a.raw_ == b.raw_ && a.format_ == b.format_;
   }
   /// Orders by (format, raw). NOTE: this is a container ordering, not the
-  /// arbitration order; use can::arbitration_wins for bus semantics.
+  /// arbitration order; use can::arbitrate for bus semantics.
   friend constexpr auto operator<=>(CanId a, CanId b) noexcept {
     if (a.format_ != b.format_) return a.format_ <=> b.format_;
     return a.raw_ <=> b.raw_;

@@ -91,15 +91,6 @@ util::TimeNs PeriodicSender::next_production_time() const {
   return earliest;
 }
 
-void PeriodicSender::scale_periods(double factor) {
-  CANIDS_EXPECTS(factor > 0.0);
-  for (MessageSpec& spec : specs_) {
-    spec.period = std::max<util::TimeNs>(
-        static_cast<util::TimeNs>(static_cast<double>(spec.period) * factor),
-        1);
-  }
-}
-
 Frame PeriodicSender::make_frame(std::size_t index, util::TimeNs now) {
   const MessageSpec& spec = specs_[index];
   ScheduleEntry& entry = schedule_[index];
@@ -141,28 +132,6 @@ Frame PeriodicSender::make_frame(std::size_t index, util::TimeNs now) {
   }
   return Frame::data_frame(spec.id,
                            std::span<const std::uint8_t>(data.data(), spec.dlc));
-}
-
-// ---------------------------------------------------------------------------
-// ScriptedSender
-
-ScriptedSender::ScriptedSender(
-    std::string name, std::vector<std::pair<util::TimeNs, Frame>> script,
-    std::size_t queue_capacity)
-    : Node(std::move(name), queue_capacity), script_(std::move(script)) {
-  std::stable_sort(script_.begin(), script_.end(),
-                   [](const auto& a, const auto& b) { return a.first < b.first; });
-}
-
-void ScriptedSender::produce(util::TimeNs now) {
-  while (cursor_ < script_.size() && script_[cursor_].first <= now) {
-    submit(script_[cursor_].second);
-    ++cursor_;
-  }
-}
-
-util::TimeNs ScriptedSender::next_production_time() const {
-  return cursor_ < script_.size() ? script_[cursor_].first : util::kNever;
 }
 
 }  // namespace canids::can

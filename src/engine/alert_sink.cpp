@@ -9,17 +9,11 @@ void AlertSink::set_handler(std::function<void(const FleetAlert&)> handler) {
 
 void AlertSink::publish(FleetAlert alert) {
   const std::lock_guard<std::mutex> lock(mutex_);
-  ++published_;
   if (handler_) {
     handler_(alert);  // streaming mode: deliver, don't retain
   } else {
     alerts_.push_back(std::move(alert));
   }
-}
-
-std::size_t AlertSink::count() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return published_;
 }
 
 std::vector<FleetAlert> AlertSink::take() {

@@ -3,7 +3,6 @@
 // consumer (CLI, monitor process, test) sees the whole fleet's intrusions.
 #pragma once
 
-#include <cstddef>
 #include <functional>
 #include <mutex>
 #include <string>
@@ -35,17 +34,13 @@ class AlertSink {
 
   void publish(FleetAlert alert);
 
-  /// Alerts published so far (monotone; includes already-taken ones).
-  [[nodiscard]] std::size_t count() const;
-
   /// Drain the retained alerts.
   [[nodiscard]] std::vector<FleetAlert> take();
 
  private:
-  mutable std::mutex mutex_;
+  std::mutex mutex_;
   std::vector<FleetAlert> alerts_;
   std::function<void(const FleetAlert&)> handler_;
-  std::size_t published_ = 0;
 };
 
 }  // namespace canids::engine

@@ -108,8 +108,6 @@ std::uint64_t FleetEngine::Stream::parse_errors() const noexcept {
   return state_->parse_errors.load(std::memory_order_relaxed);
 }
 
-StreamStatus FleetEngine::Stream::status() const { return state_->status(); }
-
 FleetEngine::FleetEngine(std::unique_ptr<analysis::DetectorBackend> prototype,
                          FleetConfig config)
     : prototype_(std::move(prototype)), config_(config) {

@@ -133,8 +133,6 @@ class FleetEngine {
     [[nodiscard]] std::uint64_t queue_dropped() const noexcept;
     /// Malformed lines recorded via record_parse_error() so far.
     [[nodiscard]] std::uint64_t parse_errors() const noexcept;
-    /// Live observability row for this stream (safe from any thread).
-    [[nodiscard]] StreamStatus status() const;
 
    private:
     friend class FleetEngine;

@@ -146,13 +146,6 @@ std::shared_ptr<const ids::GoldenTemplate> ExperimentRunner::train_shared() {
   return models_.golden;
 }
 
-model::StoredModels ExperimentRunner::trained_models() {
-  (void)train_shared();
-  (void)muter_model();
-  (void)interval_model();
-  return models_;
-}
-
 void ExperimentRunner::adopt_models(const model::StoredModels& models) {
   if (models.golden) models_.golden = models.golden;
   if (models.muter) models_.muter = models.muter;

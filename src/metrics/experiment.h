@@ -133,14 +133,9 @@ class ExperimentRunner {
   /// (and any fleet engine built on this runner) references it copy-free.
   [[nodiscard]] std::shared_ptr<const ids::GoldenTemplate> train_shared();
 
-  /// Train everything this runner can train (golden template + both
-  /// baseline models) exactly once and return them as shareable immutable
-  /// handles. A campaign trains ONE runner and hands the set to every
-  /// worker runner, so an N-trial sweep pays one training pass.
-  [[nodiscard]] model::StoredModels trained_models();
-
-  /// Adopt pretrained models — another runner's trained_models() or a
-  /// loaded bundle — so this runner never pays its own training pass.
+  /// Adopt pretrained models — the set a campaign's master runner trained
+  /// (CampaignRunner::models()) or a loaded bundle — so this runner never
+  /// pays its own training pass.
   /// Partial sets are fine: absent entries remain lazily trainable. Must be
   /// called before anything triggered training on this runner.
   void adopt_models(const model::StoredModels& models);

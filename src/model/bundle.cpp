@@ -16,14 +16,6 @@ namespace {
 
 }  // namespace
 
-bool operator==(const ModelBundle::Section& a, const ModelBundle::Section& b) {
-  return a.name == b.name && a.payload == b.payload;
-}
-
-bool operator==(const ModelBundle& a, const ModelBundle& b) {
-  return a.sections_ == b.sections_;
-}
-
 void ModelBundle::add(std::string name, std::string payload) {
   if (name.empty()) {
     throw std::invalid_argument("model bundle: section name must not be empty");

@@ -72,13 +72,8 @@ class ModelBundle {
   /// malformed section framing, or trailing bytes after the last section.
   [[nodiscard]] static ModelBundle load(std::istream& in);
 
-  friend bool operator==(const ModelBundle&, const ModelBundle&);
-
  private:
   std::vector<Section> sections_;
 };
-
-[[nodiscard]] bool operator==(const ModelBundle::Section& a,
-                              const ModelBundle::Section& b);
 
 }  // namespace canids::model

@@ -128,8 +128,9 @@ class ServeServer {
 
   [[nodiscard]] ServeStats stats() const;
 
-  /// Flush the alerts-out sink (call after engine.finish()).
-  void flush_alerts();
+  /// Flush the alerts-out sink (call after engine.finish()). False when
+  /// any alert line failed to reach the file; true without a file sink.
+  [[nodiscard]] bool flush_alerts();
 
  private:
   struct Connection;

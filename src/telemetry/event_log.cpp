@@ -25,20 +25,13 @@ EventLog::Value::Value(std::string text)
     : kind_(Kind::kString), text_(std::move(text)) {}
 EventLog::Value::Value(std::int64_t i) : kind_(Kind::kInt), int_(i) {}
 EventLog::Value::Value(std::uint64_t u) : kind_(Kind::kUint), uint_(u) {}
-EventLog::Value::Value(bool b) : kind_(Kind::kBool), bool_(b) {}
 
 EventLog::EventLog(const std::string& path)
-    : owned_(std::make_unique<std::ofstream>(
-          path, std::ios::out | std::ios::trunc)),
-      out_(owned_.get()) {
-  if (!*out_) {
+    : out_(path, std::ios::out | std::ios::trunc) {
+  if (!out_) {
     throw std::runtime_error("event log: cannot open " + path);
   }
 }
-
-EventLog::EventLog(std::ostream& out) : out_(&out) {}
-
-EventLog::~EventLog() { flush(); }
 
 std::uint64_t EventLog::emit(std::string_view type,
                              std::initializer_list<Field> fields) {
@@ -49,7 +42,7 @@ std::uint64_t EventLog::emit(std::string_view type,
   line += "{\"seq\":";
   line += std::to_string(seq);
   line += ",\"ts_ns\":";
-  line += std::to_string(clock_ ? clock_() : wall_now_ns());
+  line += std::to_string(wall_now_ns());
   line += ",\"type\":";
   util::append_json_string(line, type);
   for (const Field& field : fields) {
@@ -67,36 +60,21 @@ std::uint64_t EventLog::emit(std::string_view type,
       case Value::Kind::kUint:
         line += std::to_string(v.uint_);
         break;
-      case Value::Kind::kBool:
-        line += v.bool_ ? "true" : "false";
-        break;
     }
   }
   line += "}\n";
-  out_->write(line.data(), static_cast<std::streamsize>(line.size()));
-  if (!*out_) failed_ = true;
+  out_.write(line.data(), static_cast<std::streamsize>(line.size()));
   return seq;
-}
-
-std::uint64_t EventLog::emitted() const noexcept {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return seq_;
 }
 
 bool EventLog::ok() const noexcept {
   const std::lock_guard<std::mutex> lock(mutex_);
-  return !failed_;
+  return !out_.fail();
 }
 
 void EventLog::flush() {
   const std::lock_guard<std::mutex> lock(mutex_);
-  out_->flush();
-  if (!*out_) failed_ = true;
-}
-
-void EventLog::set_clock(std::function<std::int64_t()> clock) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  clock_ = std::move(clock);
+  out_.flush();
 }
 
 }  // namespace canids::telemetry

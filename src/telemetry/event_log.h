@@ -11,19 +11,18 @@
 // the write happen under one mutex, so file order always equals sequence
 // order even with concurrent emitters — the property the monotonicity
 // test and the CI awk check pin down. `ts_ns` is wall-clock nanoseconds
-// since the Unix epoch (overridable for deterministic tests).
+// since the Unix epoch (wall_now_ns()).
 //
 // Emission is cold-path only by design (no event is produced per frame or
 // per window), and emit() never throws on I/O trouble — a full disk must
-// not take down detection. ok() reports sink health.
+// not take down detection. ok() reports sink health; `canids serve` checks
+// it after the final flush and exits 66 when a write was lost.
 #pragma once
 
 #include <cstdint>
-#include <functional>
+#include <fstream>
 #include <initializer_list>
-#include <memory>
 #include <mutex>
-#include <ostream>
 #include <string>
 #include <string_view>
 
@@ -31,7 +30,7 @@ namespace canids::telemetry {
 
 class EventLog {
  public:
-  /// Typed field value; rendered as a JSON string/integer/bool.
+  /// Typed field value; rendered as a JSON string or integer.
   class Value {
    public:
     Value(std::string text);  // NOLINT(google-explicit-constructor)
@@ -42,16 +41,16 @@ class EventLog {
     Value(std::int64_t i);   // NOLINT(google-explicit-constructor)
     Value(std::uint64_t u);  // NOLINT(google-explicit-constructor)
     Value(int i) : Value(static_cast<std::int64_t>(i)) {}  // NOLINT
-    Value(bool b);  // NOLINT(google-explicit-constructor)
+    /// No event carries a flag: a bool must not render as an integer.
+    Value(bool b) = delete;
 
    private:
     friend class EventLog;
-    enum class Kind : std::uint8_t { kString, kInt, kUint, kBool };
+    enum class Kind : std::uint8_t { kString, kInt, kUint };
     Kind kind_;
     std::string text_;
     std::int64_t int_ = 0;
     std::uint64_t uint_ = 0;
-    bool bool_ = false;
   };
   using Field = std::pair<std::string_view, Value>;
 
@@ -59,10 +58,6 @@ class EventLog {
   /// the file cannot be opened — a misconfigured sink should fail at
   /// startup, not silently during the run.
   explicit EventLog(const std::string& path);
-  /// Write to a caller-owned stream (tests). The stream must outlive the
-  /// log.
-  explicit EventLog(std::ostream& out);
-  ~EventLog();
 
   EventLog(const EventLog&) = delete;
   EventLog& operator=(const EventLog&) = delete;
@@ -72,26 +67,18 @@ class EventLog {
   std::uint64_t emit(std::string_view type,
                      std::initializer_list<Field> fields = {});
 
-  /// Events emitted so far (== next sequence number).
-  [[nodiscard]] std::uint64_t emitted() const noexcept;
-  /// False once any write has failed.
+  /// False once any write or flush has failed.
   [[nodiscard]] bool ok() const noexcept;
   void flush();
 
-  /// Replace the wall-clock source (tests pin timestamps with this).
-  void set_clock(std::function<std::int64_t()> clock);
-
  private:
   mutable std::mutex mutex_;
-  std::unique_ptr<std::ostream> owned_;
-  std::ostream* out_;
+  std::ofstream out_;
   std::uint64_t seq_ = 0;
-  bool failed_ = false;
-  std::function<std::int64_t()> clock_;
 };
 
-/// Wall-clock nanoseconds since the Unix epoch (the default EventLog
-/// clock, exposed for callers that stamp their own records).
+/// Wall-clock nanoseconds since the Unix epoch (the EventLog clock,
+/// exposed for callers that stamp their own records).
 [[nodiscard]] std::int64_t wall_now_ns();
 
 /// Monotonic nanoseconds (steady_clock) — the hot-path latency timebase.

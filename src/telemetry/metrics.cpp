@@ -33,12 +33,6 @@ std::uint64_t HistogramSnapshot::count() const noexcept {
   return total;
 }
 
-std::size_t HistogramSnapshot::bucket_index(
-    std::uint64_t value) const noexcept {
-  return static_cast<std::size_t>(
-      std::lower_bound(bounds.begin(), bounds.end(), value) - bounds.begin());
-}
-
 void HistogramSnapshot::merge(const HistogramSnapshot& other) {
   if (bounds != other.bounds || counts.size() != other.counts.size()) {
     throw std::invalid_argument(

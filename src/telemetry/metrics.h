@@ -87,8 +87,6 @@ struct HistogramSnapshot {
   std::uint64_t sum = 0;
 
   [[nodiscard]] std::uint64_t count() const noexcept;
-  /// Bucket index a value falls into (last index = overflow).
-  [[nodiscard]] std::size_t bucket_index(std::uint64_t value) const noexcept;
   /// Element-wise accumulate `other`. Throws std::invalid_argument when
   /// the bucket bounds differ — merging histograms from different ladders
   /// is a bug, not a degradation.

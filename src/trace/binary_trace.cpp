@@ -162,10 +162,6 @@ void write_binary_trace(std::ostream& out, const Trace& trace) {
   }
 }
 
-Trace read_binary_trace(std::istream& in) {
-  return BinaryTraceSource(in).drain_records();
-}
-
 BinaryTraceSource::BinaryTraceSource(std::istream& in) : in_(&in) {
   read_header();
 }

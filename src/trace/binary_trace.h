@@ -129,9 +129,6 @@ void encode_binary_record(util::TimeNs timestamp, const can::Frame& frame,
 /// when the trace carries more than kMaxBinaryChannels distinct channels.
 void write_binary_trace(std::ostream& out, const Trace& trace);
 
-/// Read a whole stream (strict: rejects truncation and trailing bytes).
-[[nodiscard]] Trace read_binary_trace(std::istream& in);
-
 /// Streams a binary trace in constant memory, record-by-record or
 /// block-wise via fill(). The header is read eagerly at construction.
 class BinaryTraceSource final : public RecordSource {

@@ -144,10 +144,6 @@ std::optional<LogRecord> CandumpSource::next_record() {
   return std::nullopt;
 }
 
-Trace read_candump(std::istream& in) {
-  return CandumpSource(in).drain_records();
-}
-
 void write_candump(std::ostream& out, const Trace& trace) {
   for (const LogRecord& record : trace) {
     out << to_candump_line(record) << '\n';

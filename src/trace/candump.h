@@ -44,9 +44,6 @@ class CandumpSource final : public RecordSource {
   std::size_t line_number_ = 0;
 };
 
-/// Read a whole stream; thin wrapper over CandumpSource.
-[[nodiscard]] Trace read_candump(std::istream& in);
-
 /// Write all records, one line each.
 void write_candump(std::ostream& out, const Trace& trace);
 

@@ -70,18 +70,6 @@ std::unique_ptr<RecordSource> open_trace_source(
   throw ParseError("unknown trace format");
 }
 
-Trace load_trace(std::istream& in) {
-  switch (detect_format(in)) {
-    case TraceFormat::kCandump:
-      return read_candump(in);
-    case TraceFormat::kVspyCsv:
-      return read_vspy_csv(in);
-    case TraceFormat::kBinary:
-      return read_binary_trace(in);
-  }
-  throw ParseError("unknown trace format");
-}
-
 Trace load_trace_file(const std::filesystem::path& path) {
   return open_trace_source(path)->drain_records();
 }

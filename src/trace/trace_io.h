@@ -36,10 +36,6 @@ enum class TraceFormat : std::uint8_t { kCandump, kVspyCsv, kBinary };
 [[nodiscard]] std::unique_ptr<RecordSource> open_trace_source(
     const std::filesystem::path& path);
 
-/// Load a trace from a stream, auto-detecting the format. Thin batch
-/// wrapper over the streaming sources.
-[[nodiscard]] Trace load_trace(std::istream& in);
-
 /// Load a trace from a file; throws ParseError / std::runtime_error.
 [[nodiscard]] Trace load_trace_file(const std::filesystem::path& path);
 

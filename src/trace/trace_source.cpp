@@ -18,14 +18,6 @@ std::size_t TraceSource::fill(std::vector<can::TimedFrame>& out,
   return added;
 }
 
-std::vector<can::TimedFrame> TraceSource::drain() {
-  constexpr std::size_t kDrainChunk = 4096;
-  std::vector<can::TimedFrame> frames;
-  while (fill(frames, kDrainChunk) > 0) {
-  }
-  return frames;
-}
-
 std::optional<can::TimedFrame> RecordSource::next() {
   if (auto record = next_record()) {
     return can::TimedFrame{record->timestamp, record->frame,
@@ -40,32 +32,6 @@ Trace RecordSource::drain_records() {
     trace.push_back(std::move(*record));
   }
   return trace;
-}
-
-MemorySource::MemorySource(std::vector<can::TimedFrame> frames)
-    : frames_(std::move(frames)) {}
-
-MemorySource::MemorySource(const Trace& trace) {
-  frames_.reserve(trace.size());
-  for (const LogRecord& record : trace) {
-    frames_.push_back(can::TimedFrame{record.timestamp, record.frame,
-                                      can::TimedFrame::kUnknownSource});
-  }
-}
-
-std::optional<can::TimedFrame> MemorySource::next() {
-  if (index_ >= frames_.size()) return std::nullopt;
-  return frames_[index_++];
-}
-
-std::size_t MemorySource::fill(std::vector<can::TimedFrame>& out,
-                               std::size_t max) {
-  const std::size_t take = std::min(max, frames_.size() - index_);
-  const auto first =
-      frames_.begin() + static_cast<std::ptrdiff_t>(index_);
-  out.insert(out.end(), first, first + static_cast<std::ptrdiff_t>(take));
-  index_ += take;
-  return take;
 }
 
 BusStreamSource::BusStreamSource(can::BusSimulator& bus, util::TimeNs duration,

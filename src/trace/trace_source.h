@@ -1,9 +1,9 @@
 // Pull-based streaming access to CAN captures. A TraceSource yields one
 // frame per next() call, so arbitrarily long logs (multi-hour candump
 // captures, live taps, simulated drives) are consumed in constant memory —
-// the ingestion model the fleet engine is built on. The legacy
-// load-everything Trace API (trace_io.h) is a thin drain() over these
-// sources.
+// the ingestion model the fleet engine is built on. The load-everything
+// Trace API (load_trace_file in trace_io.h) is RecordSource::drain_records()
+// over these sources.
 #pragma once
 
 #include <deque>
@@ -32,14 +32,10 @@ class TraceSource {
   /// ParseError mid-batch — frames appended before the malformed line are
   /// kept in `out` (diff against the pre-call size) and the source
   /// recovers on the following call. The base implementation loops next();
-  /// block-layout sources (MemorySource, BinaryTraceSource) override it
-  /// with real block copies.
+  /// BinaryTraceSource overrides it with a block read of fixed-size
+  /// records.
   virtual std::size_t fill(std::vector<can::TimedFrame>& out,
                            std::size_t max);
-
-  /// Drain every remaining frame — the batch path, for callers that want
-  /// the old fully-materialized behaviour.
-  [[nodiscard]] std::vector<can::TimedFrame> drain();
 };
 
 /// A TraceSource whose underlying records carry channel metadata (the file
@@ -51,25 +47,9 @@ class RecordSource : public TraceSource {
 
   std::optional<can::TimedFrame> next() final;
 
-  /// Drain every remaining record — equivalent to the legacy whole-file
-  /// readers (read_candump / read_vspy_csv).
+  /// Drain every remaining record into one Trace — the whole-file read
+  /// behind load_trace_file.
   [[nodiscard]] Trace drain_records();
-};
-
-/// Replays an in-memory frame list (tests, benchmarks, recorded traffic).
-class MemorySource final : public TraceSource {
- public:
-  explicit MemorySource(std::vector<can::TimedFrame> frames);
-  /// Convenience: replays a loaded Trace (channels are dropped).
-  explicit MemorySource(const Trace& trace);
-
-  std::optional<can::TimedFrame> next() override;
-  std::size_t fill(std::vector<can::TimedFrame>& out,
-                   std::size_t max) override;
-
- private:
-  std::vector<can::TimedFrame> frames_;
-  std::size_t index_ = 0;
 };
 
 /// Streams frames off a live BusSimulator by advancing the simulation in

@@ -3,8 +3,6 @@
 #include <charconv>
 #include <cmath>
 #include <cstdio>
-#include <fstream>
-#include <istream>
 #include <ostream>
 
 #include "util/csv.h"
@@ -126,17 +124,14 @@ std::string vspy_header() {
   return "Time,Channel,ID,Extended,Remote,DLC,B1,B2,B3,B4,B5,B6,B7,B8";
 }
 
-VspyCsvSource::VspyCsvSource(std::istream& in) : in_(&in) {}
-
-VspyCsvSource::VspyCsvSource(const std::filesystem::path& path)
-    : owned_(std::make_unique<std::ifstream>(path)), in_(owned_.get()) {
-  if (!*in_) {
+VspyCsvSource::VspyCsvSource(const std::filesystem::path& path) : in_(path) {
+  if (!in_) {
     throw std::runtime_error("cannot open trace file: " + path.string());
   }
 }
 
 std::optional<LogRecord> VspyCsvSource::next_record() {
-  while (std::getline(*in_, line_)) {
+  while (std::getline(in_, line_)) {
     ++line_number_;
     const std::string_view body = util::trim(line_);
     if (body.empty()) continue;
@@ -156,10 +151,6 @@ std::optional<LogRecord> VspyCsvSource::next_record() {
     }
   }
   return std::nullopt;
-}
-
-Trace read_vspy_csv(std::istream& in) {
-  return VspyCsvSource(in).drain_records();
 }
 
 void write_vspy_csv(std::ostream& out, const Trace& trace) {

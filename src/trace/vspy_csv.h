@@ -9,8 +9,8 @@
 #pragma once
 
 #include <filesystem>
+#include <fstream>
 #include <iosfwd>
-#include <memory>
 #include <string>
 #include <string_view>
 
@@ -33,23 +33,17 @@ namespace canids::trace {
 /// columns; malformed rows throw ParseError with the 1-based line number.
 class VspyCsvSource final : public RecordSource {
  public:
-  /// Stream from a caller-owned stream (must outlive the source).
-  explicit VspyCsvSource(std::istream& in);
   /// Stream from a file; throws std::runtime_error when it cannot open.
   explicit VspyCsvSource(const std::filesystem::path& path);
 
   std::optional<LogRecord> next_record() override;
 
  private:
-  std::unique_ptr<std::istream> owned_;
-  std::istream* in_;
+  std::ifstream in_;
   std::string line_;  ///< reused per getline — one allocation per source
   std::size_t line_number_ = 0;
   bool header_seen_ = false;
 };
-
-/// Read a whole stream; thin wrapper over VspyCsvSource.
-[[nodiscard]] Trace read_vspy_csv(std::istream& in);
 
 /// Write header plus all records.
 void write_vspy_csv(std::ostream& out, const Trace& trace);

@@ -1,8 +1,5 @@
 #include "util/rng.h"
 
-#include <cmath>
-#include <numbers>
-
 #include "util/contracts.h"
 
 namespace canids::util {
@@ -31,21 +28,6 @@ double Rng::uniform01() noexcept {
 
 double Rng::uniform(double lo, double hi) noexcept {
   return lo + (hi - lo) * uniform01();
-}
-
-bool Rng::chance(double p) noexcept {
-  if (p <= 0.0) return false;
-  if (p >= 1.0) return true;
-  return uniform01() < p;
-}
-
-double Rng::normal(double mean, double stddev) noexcept {
-  // Box-Muller; guard against log(0).
-  double u1 = uniform01();
-  while (u1 <= 0.0) u1 = uniform01();
-  const double u2 = uniform01();
-  const double mag = std::sqrt(-2.0 * std::log(u1));
-  return mean + stddev * mag * std::cos(2.0 * std::numbers::pi * u2);
 }
 
 Rng Rng::fork() noexcept {

@@ -40,11 +40,14 @@ namespace {
 }
 
 TEST(DetectorRegistryTest, BuiltinsAreRegistered) {
-  const std::vector<std::string> names =
-      DetectorRegistry::instance().names();
+  const std::vector<DetectorInfo> infos = DetectorRegistry::instance().list();
   for (const char* expected :
        {"bit-entropy", "symbol-entropy", "interval", "ensemble"}) {
-    EXPECT_NE(std::find(names.begin(), names.end(), expected), names.end())
+    EXPECT_NE(std::find_if(infos.begin(), infos.end(),
+                           [&](const DetectorInfo& info) {
+                             return info.name == expected;
+                           }),
+              infos.end())
         << "missing built-in " << expected;
     EXPECT_TRUE(DetectorRegistry::instance().contains(expected));
   }

@@ -24,8 +24,10 @@ IntervalIds trained_on_100ms_id(std::uint32_t id = 0x100,
 TEST(IntervalIdsTest, LearnsMeanPeriod) {
   const IntervalIds ids = trained_on_100ms_id();
   EXPECT_EQ(ids.tracked_ids(), 1u);
-  EXPECT_EQ(ids.learned_interval(0x100), 100 * kMillisecond);
-  EXPECT_EQ(ids.learned_interval(0x999), 0);
+  const std::vector<IntervalIds::Period> periods = ids.periods();
+  ASSERT_EQ(periods.size(), 1u);  // nothing learned for any other ID
+  EXPECT_EQ(periods[0].first, 0x100u);
+  EXPECT_EQ(periods[0].second, 100 * kMillisecond);
 }
 
 TEST(IntervalIdsTest, NormalRateDoesNotAlert) {
@@ -103,7 +105,9 @@ TEST(IntervalIdsTest, SingleSightingIdsNotTracked) {
   ids.train(kSecond, 0x200);
   ids.finish_training();
   EXPECT_EQ(ids.tracked_ids(), 1u);
-  EXPECT_EQ(ids.learned_interval(0x100), 0);
+  const std::vector<IntervalIds::Period> periods = ids.periods();
+  ASSERT_EQ(periods.size(), 1u);
+  EXPECT_EQ(periods[0].first, 0x200u);  // 0x100 has no interval
 }
 
 TEST(IntervalIdsTest, LifecycleContractsEnforced) {

@@ -15,6 +15,7 @@
 #include "metrics/experiment.h"
 #include "model/bundle.h"
 #include "model/store.h"
+#include "trace/binary_trace.h"
 #include "trace/trace_io.h"
 #include "util/rng.h"
 
@@ -560,7 +561,11 @@ TEST(CampaignRunnerTest, RejectsBareTemplateFileAsModel) {
 TEST(CampaignRunnerTest, BundleColdStartMatchesTrainingForEveryBackend) {
   // Every registered backend in one grid; short drives keep it fast.
   CampaignSpec spec = quick_spec();
-  spec.detectors = analysis::DetectorRegistry::instance().names();
+  spec.detectors.clear();
+  for (const analysis::DetectorInfo& info :
+       analysis::DetectorRegistry::instance().list()) {
+    spec.detectors.push_back(info.name);
+  }
   spec.seeds = 1;
 
   // In-process training run, whose models become the bundle...
@@ -759,14 +764,16 @@ TEST(CaptureCampaignTest, EpochTimestampsNormalizeToCaptureStart) {
   metrics::ExperimentRunner runner(config);
 
   constexpr util::TimeNs kEpoch = 1'436'509'052 * util::kSecond;
-  std::vector<can::TimedFrame> frames;
+  trace::Trace capture;
   for (int i = 0; i < 500; ++i) {  // 10 ms cadence -> 5 s of traffic
-    frames.push_back(can::TimedFrame{
+    capture.push_back(trace::LogRecord{
         kEpoch + static_cast<util::TimeNs>(i) * 10 * util::kMillisecond,
-        can::Frame::data_frame(can::CanId::standard(0x123), {}),
-        can::TimedFrame::kUnknownSource});
+        "can0", can::Frame::data_frame(can::CanId::standard(0x123), {})});
   }
-  trace::MemorySource source(std::move(frames));
+  // Replayed as a recorded canidsBT capture, the way --captures reads one.
+  std::stringstream bytes;
+  trace::write_binary_trace(bytes, capture);
+  trace::BinaryTraceSource source(bytes);
   const metrics::InstrumentedTrial trial = runner.run_capture_trial(
       "interval", source,
       {{3 * util::kSecond, 4 * util::kSecond}},  // capture-relative label

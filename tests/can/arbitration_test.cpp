@@ -36,33 +36,42 @@ TEST(ArbitrationBitsTest, ExtendedFrameLayout) {
   EXPECT_TRUE(bits[12]);  // IDE recessive
 }
 
-TEST(ArbitrationWinsTest, LowerIdWins) {
-  EXPECT_TRUE(arbitration_wins(data(0x100), data(0x200)));
-  EXPECT_FALSE(arbitration_wins(data(0x200), data(0x100)));
+/// Index of the outright winner of a two-frame round; a tie fails the
+/// calling test.
+std::size_t winner_of(const Frame& a, const Frame& b) {
+  const std::vector<Frame> contenders = {a, b};
+  const ArbitrationResult result = arbitrate(contenders);
+  EXPECT_TRUE(result.tied_with_winner.empty());
+  return result.winner;
 }
 
-TEST(ArbitrationWinsTest, DataFrameBeatsRemoteFrameOfSameId) {
+TEST(ArbitrateTest, LowerIdWins) {
+  EXPECT_EQ(winner_of(data(0x100), data(0x200)), 0u);
+  EXPECT_EQ(winner_of(data(0x200), data(0x100)), 1u);
+}
+
+TEST(ArbitrateTest, DataFrameBeatsRemoteFrameOfSameId) {
   const Frame d = data(0x123);
   const Frame r = Frame::remote_frame(CanId::standard(0x123), 0);
-  EXPECT_TRUE(arbitration_wins(d, r));
-  EXPECT_FALSE(arbitration_wins(r, d));
+  EXPECT_EQ(winner_of(d, r), 0u);
+  EXPECT_EQ(winner_of(r, d), 1u);
 }
 
-TEST(ArbitrationWinsTest, StandardBeatsExtendedWithSameLeadingBits) {
+TEST(ArbitrateTest, StandardBeatsExtendedWithSameLeadingBits) {
   // Extended ID whose top 11 bits equal 0x123: raw = 0x123 << 18.
   const Frame std_frame = data(0x123);
   const Frame ext_frame =
       Frame::data_frame(CanId::extended(0x123u << 18), {});
-  EXPECT_TRUE(arbitration_wins(std_frame, ext_frame));
-  EXPECT_FALSE(arbitration_wins(ext_frame, std_frame));
+  EXPECT_EQ(winner_of(std_frame, ext_frame), 0u);
+  EXPECT_EQ(winner_of(ext_frame, std_frame), 1u);
 }
 
-TEST(ArbitrationWinsTest, DominantExtendedBeatsRecessiveStandard) {
+TEST(ArbitrateTest, DominantExtendedBeatsRecessiveStandard) {
   // An extended frame with all-dominant leading bits beats a standard frame
   // whose leading bits are recessive.
   const Frame ext_low = Frame::data_frame(CanId::extended(0), {});
   const Frame std_high = data(0x7FF);
-  EXPECT_TRUE(arbitration_wins(ext_low, std_high));
+  EXPECT_EQ(winner_of(ext_low, std_high), 0u);
 }
 
 TEST(ArbitrateTest, SingleContenderWinsTrivially) {

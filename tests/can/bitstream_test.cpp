@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "can/crc15.h"
@@ -12,14 +13,67 @@
 namespace canids::can {
 namespace {
 
+/// The stuffing oracle: removes stuff bits, the inverse of stuff().
+/// Throws std::invalid_argument when the input breaks the stuffing rule
+/// (six identical consecutive bits inside the stuffed region), which on a
+/// real bus is a stuff error. No receiver is simulated, so it lives here.
+BitString destuff(const BitString& stuffed,
+                  std::size_t stuffable_bits_expected) {
+  BitString out;
+  int run = 0;
+  bool run_bit = true;  // recessive
+  bool expect_stuff_bit = false;
+  for (std::size_t i = 0; i < stuffed.size(); ++i) {
+    const bool bit = stuffed[i];
+    if (out.size() >= stuffable_bits_expected && !expect_stuff_bit) {
+      // Past the stuff region: copy the fixed-form tail verbatim.
+      out.push_back(bit);
+      continue;
+    }
+    if (expect_stuff_bit) {
+      if (bit == run_bit) {
+        throw std::invalid_argument(
+            "stuff error: six identical consecutive bits at position " +
+            std::to_string(i));
+      }
+      expect_stuff_bit = false;
+      run = 1;
+      run_bit = bit;
+      continue;  // stuff bit is dropped
+    }
+    out.push_back(bit);
+    if (run > 0 && bit == run_bit) {
+      ++run;
+    } else {
+      run = 1;
+      run_bit = bit;
+    }
+    // A run of five triggers a stuff bit even when it completes exactly at
+    // the region boundary, matching stuff().
+    if (run == 5) expect_stuff_bit = true;
+  }
+  if (expect_stuff_bit) {
+    throw std::invalid_argument("truncated input: missing final stuff bit");
+  }
+  return out;
+}
+
+/// Worst-case wire length of a frame with `dlc` data bytes: 34 (standard)
+/// or 54 (extended) + 8 * dlc stuffable bits, at most one stuff bit per
+/// four after the first, plus 10 fixed tail bits (delimiters, ACK, EOF).
+std::size_t max_wire_bit_length(IdFormat format, int dlc) {
+  const int stuffable = (format == IdFormat::kStandard ? 34 : 54) + 8 * dlc;
+  return static_cast<std::size_t>(stuffable + (stuffable - 1) / 4 + 10);
+}
+
 Frame random_frame(util::Rng& rng, bool allow_extended = true) {
-  const bool extended = allow_extended && rng.chance(0.3);
+  const bool extended = allow_extended && rng.uniform01() < 0.3;
   const CanId id =
       extended ? CanId::extended(static_cast<std::uint32_t>(
                      rng.below(kMaxExtId + 1ULL)))
                : CanId::standard(static_cast<std::uint32_t>(
                      rng.below(kMaxStdId + 1ULL)));
-  if (rng.chance(0.1)) {
+  if (rng.uniform01() < 0.1) {
     return Frame::remote_frame(id, static_cast<std::uint8_t>(rng.below(9)));
   }
   std::vector<std::uint8_t> payload(rng.below(9));
@@ -33,12 +87,10 @@ TEST(BitStringTest, AppendBitsMsbFirst) {
   EXPECT_EQ(bits.to_string(), "1011");
 }
 
-TEST(BitStringTest, AppendRepeatedAndConcat) {
+TEST(BitStringTest, AppendRepeated) {
   BitString bits;
   bits.append_repeated(true, 3);
-  BitString tail;
-  tail.append_repeated(false, 2);
-  bits.append(tail);
+  bits.append_repeated(false, 2);
   EXPECT_EQ(bits.to_string(), "11100");
   EXPECT_EQ(bits.size(), 5u);
 }

@@ -94,15 +94,6 @@ TEST(PeriodicSenderTest, CounterPayloadIncrements) {
   }
 }
 
-TEST(PeriodicSenderTest, ScalePeriodsChangesRate) {
-  PeriodicSender sender("ecu", {spec_of(0x100, 10 * kMillisecond)},
-                        util::Rng(1), /*queue_capacity=*/256);
-  sender.scale_periods(0.5);  // twice as fast
-  sender.produce(100 * kMillisecond);
-  EXPECT_EQ(sender.stats().generated, 21u);  // due every 5 ms from 0
-  EXPECT_THROW(sender.scale_periods(0.0), canids::ContractViolation);
-}
-
 TEST(PeriodicSenderTest, RejectsEmptySpecList) {
   EXPECT_THROW(PeriodicSender("ecu", {}, util::Rng(1)),
                canids::ContractViolation);
@@ -124,28 +115,6 @@ TEST(NodeTest, HeadAndPopRequireNonEmptyQueue) {
                         util::Rng(1));
   EXPECT_THROW((void)sender.head(), canids::ContractViolation);
   EXPECT_THROW(sender.pop_head(), canids::ContractViolation);
-}
-
-TEST(ScriptedSenderTest, EmitsInTimestampOrder) {
-  const Frame f1 = Frame::data_frame(CanId::standard(0x10), {});
-  const Frame f2 = Frame::data_frame(CanId::standard(0x20), {});
-  // Deliberately unsorted input.
-  ScriptedSender sender("script", {{20 * kMillisecond, f2},
-                                   {10 * kMillisecond, f1}});
-  EXPECT_EQ(sender.next_production_time(), 10 * kMillisecond);
-  sender.produce(15 * kMillisecond);
-  ASSERT_TRUE(sender.has_pending());
-  EXPECT_EQ(sender.head().id().raw(), 0x10u);
-  sender.pop_head();
-  EXPECT_FALSE(sender.has_pending());
-  sender.produce(30 * kMillisecond);
-  ASSERT_TRUE(sender.has_pending());
-  EXPECT_EQ(sender.head().id().raw(), 0x20u);
-}
-
-TEST(ScriptedSenderTest, ExhaustedScriptReportsNever) {
-  ScriptedSender sender("script", {});
-  EXPECT_EQ(sender.next_production_time(), util::kNever);
 }
 
 }  // namespace

@@ -57,7 +57,7 @@ TEST(OfflineAnalysisTest, CandumpRoundTripDetection) {
   trace::write_candump(log_text, recorder.trace());
 
   // --- Parse the text back and analyse offline ------------------------------
-  const trace::Trace parsed = trace::load_trace(log_text);
+  const trace::Trace parsed = trace::CandumpSource(log_text).drain_records();
   ASSERT_EQ(parsed.size(), recorder.trace().size());
 
   ids::PipelineConfig pipeline_config;
@@ -90,13 +90,17 @@ TEST(OfflineAnalysisTest, VspyCsvPathAgreesWithCandumpPath) {
   const trace::Trace capture =
       vehicle.record_trace(trace::DrivingBehavior::kHighway, 2 * kSecond, 7);
 
-  std::stringstream candump_text;
-  trace::write_candump(candump_text, capture);
-  std::stringstream csv_text;
-  trace::write_vspy_csv(csv_text, capture);
+  // Through files and format auto-detection, as `canids` reads captures.
+  const std::string dir = ::testing::TempDir();
+  const std::string candump_path = dir + "offline_analysis_capture.log";
+  const std::string csv_path = dir + "offline_analysis_capture.csv";
+  trace::save_trace_file(candump_path, capture, trace::TraceFormat::kCandump);
+  trace::save_trace_file(csv_path, capture, trace::TraceFormat::kVspyCsv);
 
-  const trace::Trace from_candump = trace::load_trace(candump_text);
-  const trace::Trace from_csv = trace::load_trace(csv_text);
+  const trace::Trace from_candump = trace::load_trace_file(candump_path);
+  const trace::Trace from_csv = trace::load_trace_file(csv_path);
+  std::remove(candump_path.c_str());
+  std::remove(csv_path.c_str());
   ASSERT_EQ(from_candump.size(), from_csv.size());
   for (std::size_t i = 0; i < from_candump.size(); ++i) {
     EXPECT_EQ(from_candump[i].frame, from_csv[i].frame);

@@ -43,8 +43,12 @@ TEST(ModelBundleTest, SaveLoadRoundTripsSectionsInOrder) {
   bundle.add("gamma", "");  // empty payloads are legal
 
   const ModelBundle restored = load_bytes(bundle_bytes(bundle));
-  EXPECT_EQ(restored, bundle);
+  EXPECT_EQ(bundle_bytes(restored), bundle_bytes(bundle));
   ASSERT_EQ(restored.sections().size(), 3u);
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(restored.sections()[i].name, bundle.sections()[i].name);
+    EXPECT_EQ(restored.sections()[i].payload, bundle.sections()[i].payload);
+  }
   EXPECT_EQ(restored.sections()[0].name, "alpha");
   EXPECT_EQ(restored.sections()[1].name, "beta");
   EXPECT_EQ(restored.sections()[2].name, "gamma");

@@ -376,7 +376,7 @@ struct RunningServer {
     server->post_shutdown();
     thread.join();
     engine->finish();
-    server->flush_alerts();
+    EXPECT_TRUE(server->flush_alerts()) << "alerts file lost a line";
   }
 
   ~RunningServer() {
@@ -465,6 +465,44 @@ TEST(ServeServerTest, SocketIngestMatchesDirectEngineRun) {
   EXPECT_EQ(totals.parse_errors, 1u);
 
   std::filesystem::remove(alerts_path);
+  std::filesystem::remove(config.uds_path);
+}
+
+/// An alerts file that cannot take the lines (a full disk) is reported by
+/// flush_alerts(), which `canids serve` turns into exit 66.
+TEST(ServeServerTest, FullAlertsSinkIsReported) {
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  const ServeWorld world;
+  const std::vector<trace::LogRecord> records =
+      world.make_trace(3, 6, {2, 4});
+  ASSERT_FALSE(direct_alert_lines(world, records).empty());
+
+  ServeConfig config;
+  config.uds_path = socket_path("fullsink");
+  config.alerts_out = "/dev/full";
+  RunningServer running(world, config);
+
+  const int data = connect_addr(config.uds_path);
+  send_all(data, "HELLO bus\n");
+  std::string payload;
+  for (const trace::LogRecord& record : records) {
+    payload += trace::to_candump_line(record);
+    payload.push_back('\n');
+  }
+  send_all(data, payload);
+  ::close(data);
+  for (int i = 0; i < 2000; ++i) {
+    const std::vector<engine::StreamStatus> status =
+        running.engine->status();
+    if (!status.empty() && status.front().drained) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+
+  running.server->post_shutdown();
+  running.thread.join();
+  running.engine->finish();
+  EXPECT_GT(running.engine->totals().alerts, 0u);
+  EXPECT_FALSE(running.server->flush_alerts());
   std::filesystem::remove(config.uds_path);
 }
 

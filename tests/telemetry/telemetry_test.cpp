@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdio>
+#include <filesystem>
 #include <fstream>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "telemetry/event_log.h"
@@ -173,8 +175,7 @@ TEST(Histogram, QuantileInterpolatesWithinBucket) {
         q * static_cast<double>(sample.size()))];
     const auto estimated =
         static_cast<std::uint64_t>(latency_snap.quantile(q));
-    EXPECT_EQ(latency_snap.bucket_index(exact),
-              latency_snap.bucket_index(estimated))
+    EXPECT_EQ(latency.bucket_index(exact), latency.bucket_index(estimated))
         << "q=" << q << " exact " << exact << " estimated " << estimated;
   }
 }
@@ -269,32 +270,77 @@ TEST(Exposition, GoldenText) {
 
 // ---------------------------------------------------------------- event log
 
+// A bool has no event field to render as; it must not become an integer.
+static_assert(!std::is_constructible_v<EventLog::Value, bool>);
+
+/// An event file in the test temp dir, removed on destruction.
+struct EventFile {
+  std::string path;
+  explicit EventFile(const std::string& name)
+      : path(::testing::TempDir() + name) {}
+  ~EventFile() { std::remove(path.c_str()); }
+  EventFile(const EventFile&) = delete;
+  EventFile& operator=(const EventFile&) = delete;
+
+  /// Every line of the file with its `ts_ns` value replaced by "T", after
+  /// checking that value lies within [lo, hi] (two wall_now_ns() reads
+  /// taken around the emits).
+  [[nodiscard]] std::vector<std::string> lines(std::int64_t lo,
+                                               std::int64_t hi) const {
+    std::ifstream in(path);
+    std::vector<std::string> out;
+    for (std::string line; std::getline(in, line);) {
+      const std::string key = "\"ts_ns\":";
+      const std::size_t at = line.find(key);
+      const std::size_t begin = at + key.size();
+      const std::size_t end = line.find(',', begin);
+      EXPECT_TRUE(at != std::string::npos && end != std::string::npos)
+          << line;
+      if (at == std::string::npos || end == std::string::npos) continue;
+      const std::int64_t ts = std::stoll(line.substr(begin, end - begin));
+      EXPECT_GE(ts, lo) << line;
+      EXPECT_LE(ts, hi) << line;
+      out.push_back(line.substr(0, begin) + "T" + line.substr(end));
+    }
+    return out;
+  }
+};
+
 TEST(EventLog, RendersFixedLines) {
-  std::ostringstream out;
-  EventLog log(out);
-  log.set_clock([] { return std::int64_t{1234}; });
-  EXPECT_EQ(log.emit("serve_start", {{"uds", "/tmp/x.sock"}, {"tcp_port", -1}}),
-            0u);
-  EXPECT_EQ(log.emit("model_reload", {{"generation", std::uint64_t{3}},
-                                      {"forced", true}}),
-            1u);
-  EXPECT_EQ(out.str(),
-            "{\"seq\":0,\"ts_ns\":1234,\"type\":\"serve_start\","
-            "\"uds\":\"/tmp/x.sock\",\"tcp_port\":-1}\n"
-            "{\"seq\":1,\"ts_ns\":1234,\"type\":\"model_reload\","
-            "\"generation\":3,\"forced\":true}\n");
-  EXPECT_EQ(log.emitted(), 2u);
-  EXPECT_TRUE(log.ok());
+  const EventFile file("canids_events_render.jsonl");
+  const std::int64_t lo = wall_now_ns();
+  {
+    EventLog log(file.path);
+    EXPECT_EQ(
+        log.emit("serve_start", {{"uds", "/tmp/x.sock"}, {"tcp_port", -1}}),
+        0u);
+    EXPECT_EQ(log.emit("model_reload", {{"generation", std::uint64_t{3}},
+                                        {"streams", std::int64_t{-7}}}),
+              1u);
+    log.flush();
+    EXPECT_TRUE(log.ok());
+  }
+  const std::int64_t hi = wall_now_ns();
+  EXPECT_EQ(file.lines(lo, hi),
+            (std::vector<std::string>{
+                "{\"seq\":0,\"ts_ns\":T,\"type\":\"serve_start\","
+                "\"uds\":\"/tmp/x.sock\",\"tcp_port\":-1}",
+                "{\"seq\":1,\"ts_ns\":T,\"type\":\"model_reload\","
+                "\"generation\":3,\"streams\":-7}"}));
 }
 
 TEST(EventLog, EscapesStrings) {
-  std::ostringstream out;
-  EventLog log(out);
-  log.set_clock([] { return std::int64_t{0}; });
-  log.emit("stream_open", {{"stream", "a\"b\\c\nd"}});
-  EXPECT_EQ(out.str(),
-            "{\"seq\":0,\"ts_ns\":0,\"type\":\"stream_open\","
-            "\"stream\":\"a\\\"b\\\\c\\nd\"}\n");
+  const EventFile file("canids_events_escape.jsonl");
+  const std::int64_t lo = wall_now_ns();
+  {
+    EventLog log(file.path);
+    log.emit("stream_open", {{"stream", "a\"b\\c\nd"}});
+  }
+  const std::int64_t hi = wall_now_ns();
+  EXPECT_EQ(file.lines(lo, hi),
+            (std::vector<std::string>{
+                "{\"seq\":0,\"ts_ns\":T,\"type\":\"stream_open\","
+                "\"stream\":\"a\\\"b\\\\c\\nd\"}"}));
 }
 
 /// Sequence numbers must be strictly increasing in file order even when
@@ -303,49 +349,62 @@ TEST(EventLog, EscapesStrings) {
 TEST(EventLog, ConcurrentEmittersKeepFileOrder) {
   constexpr int kThreads = 8;
   constexpr int kPerThread = 200;
-  std::ostringstream out;
-  EventLog log(out);
-  log.set_clock([] { return std::int64_t{0}; });
-
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&log, t] {
-      for (int i = 0; i < kPerThread; ++i) {
-        log.emit("tick", {{"thread", t}});
-      }
-    });
+  const EventFile file("canids_events_concurrent.jsonl");
+  const std::int64_t lo = wall_now_ns();
+  {
+    EventLog log(file.path);
+    std::vector<std::thread> threads;
+    threads.reserve(kThreads);
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&log, t] {
+        for (int i = 0; i < kPerThread; ++i) {
+          log.emit("tick", {{"thread", t}});
+        }
+      });
+    }
+    for (auto& th : threads) th.join();
+    EXPECT_EQ(log.emit("done"),
+              static_cast<std::uint64_t>(kThreads * kPerThread));
   }
-  for (auto& th : threads) th.join();
+  const std::int64_t hi = wall_now_ns();
 
-  EXPECT_EQ(log.emitted(), static_cast<std::uint64_t>(kThreads * kPerThread));
-  std::istringstream lines(out.str());
-  std::string line;
   std::uint64_t expected_seq = 0;
-  while (std::getline(lines, line)) {
+  for (const std::string& line : file.lines(lo, hi)) {
     const std::string prefix = "{\"seq\":" + std::to_string(expected_seq) + ",";
     ASSERT_EQ(line.compare(0, prefix.size(), prefix), 0)
         << "line " << expected_seq << ": " << line;
     ++expected_seq;
   }
-  EXPECT_EQ(expected_seq, static_cast<std::uint64_t>(kThreads * kPerThread));
+  EXPECT_EQ(expected_seq,
+            static_cast<std::uint64_t>(kThreads * kPerThread + 1));
 }
 
 TEST(EventLog, FileSinkRoundTrip) {
-  const std::string path = ::testing::TempDir() + "canids_events_test.jsonl";
+  const EventFile file("canids_events_test.jsonl");
+  const std::int64_t lo = wall_now_ns();
   {
-    EventLog log(path);
-    log.set_clock([] { return std::int64_t{7}; });
+    EventLog log(file.path);
     log.emit("serve_stop", {{"connections", std::uint64_t{4}}});
   }
-  std::ifstream in(path);
-  std::string line;
-  ASSERT_TRUE(std::getline(in, line));
-  EXPECT_EQ(line,
-            "{\"seq\":0,\"ts_ns\":7,\"type\":\"serve_stop\","
-            "\"connections\":4}");
+  const std::int64_t hi = wall_now_ns();
+  EXPECT_EQ(file.lines(lo, hi),
+            (std::vector<std::string>{
+                "{\"seq\":0,\"ts_ns\":T,\"type\":\"serve_stop\","
+                "\"connections\":4}"}));
   EXPECT_THROW(EventLog("/nonexistent-dir/never/events.jsonl"),
                std::runtime_error);
+}
+
+/// A full disk loses the lines without taking detection down: emit() never
+/// throws, and ok() reports the loss once the buffer is flushed.
+TEST(EventLog, FullSinkReadsNotOkAfterFlush) {
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  EventLog log("/dev/full");
+  EXPECT_NO_THROW(log.emit("serve_start", {{"uds", "/tmp/x.sock"}}));
+  EXPECT_NO_THROW(log.flush());
+  EXPECT_FALSE(log.ok());
+  EXPECT_NO_THROW(log.emit("serve_stop"));
+  EXPECT_FALSE(log.ok());
 }
 
 }  // namespace

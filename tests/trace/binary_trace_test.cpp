@@ -7,6 +7,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "trace/trace_io.h"
 
@@ -34,6 +35,15 @@ namespace {
   return trace;
 }
 
+/// Reads every frame through fill(), the block path the fleet engine
+/// takes.
+std::vector<can::TimedFrame> fill_all(TraceSource& source) {
+  std::vector<can::TimedFrame> frames;
+  while (source.fill(frames, 4096) > 0) {
+  }
+  return frames;
+}
+
 [[nodiscard]] std::string encode(const Trace& trace) {
   std::ostringstream out;
   write_binary_trace(out, trace);
@@ -48,7 +58,7 @@ constexpr std::size_t kSampleHeaderBytes = 8 + 4 + 8 + 1 + (4 + 4) + (4 + 4);
 TEST(BinaryTraceTest, RoundTripsEveryRecordShape) {
   const Trace original = sample_trace();
   std::istringstream in(encode(original));
-  const Trace reread = read_binary_trace(in);
+  const Trace reread = BinaryTraceSource(in).drain_records();
   ASSERT_EQ(reread.size(), original.size());
   for (std::size_t i = 0; i < original.size(); ++i) {
     EXPECT_EQ(reread[i].timestamp, original[i].timestamp) << "record " << i;
@@ -59,7 +69,7 @@ TEST(BinaryTraceTest, RoundTripsEveryRecordShape) {
 
 TEST(BinaryTraceTest, RoundTripsEmptyTrace) {
   std::istringstream in(encode({}));
-  EXPECT_TRUE(read_binary_trace(in).empty());
+  EXPECT_TRUE(BinaryTraceSource(in).drain_records().empty());
 }
 
 TEST(BinaryTraceTest, RecordSizeMatchesLayout) {
@@ -71,7 +81,8 @@ TEST(BinaryTraceTest, RecordSizeMatchesLayout) {
 TEST(BinaryTraceTest, IsBinaryTraceDetectsAndRewinds) {
   std::istringstream binary(encode(sample_trace()));
   EXPECT_TRUE(is_binary_trace(binary));
-  EXPECT_EQ(read_binary_trace(binary).size(), sample_trace().size());
+  EXPECT_EQ(BinaryTraceSource(binary).drain_records().size(),
+            sample_trace().size());
 
   std::istringstream text("(1.0) can0 123#AA\n");
   EXPECT_FALSE(is_binary_trace(text));
@@ -88,7 +99,7 @@ TEST(BinaryTraceTest, EveryTruncationIsRejected) {
     EXPECT_THROW(
         {
           BinaryTraceSource source(in);
-          (void)source.drain();
+          (void)fill_all(source);
         },
         std::runtime_error)
         << "prefix of " << length << " bytes parsed cleanly";
@@ -98,7 +109,7 @@ TEST(BinaryTraceTest, EveryTruncationIsRejected) {
 TEST(BinaryTraceTest, TrailingBytesAreRejected) {
   std::istringstream in(encode(sample_trace()) + "X");
   BinaryTraceSource source(in);
-  EXPECT_THROW((void)source.drain(), std::runtime_error);
+  EXPECT_THROW((void)fill_all(source), std::runtime_error);
 }
 
 TEST(BinaryTraceTest, TamperedBytesAreRejected) {
@@ -110,7 +121,7 @@ TEST(BinaryTraceTest, TamperedBytesAreRejected) {
     std::istringstream in(bytes);
     try {
       BinaryTraceSource source(in);
-      (void)source.drain();
+      (void)fill_all(source);
       FAIL() << "tamper at byte " << offset << " parsed cleanly";
     } catch (const std::runtime_error& e) {
       EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)

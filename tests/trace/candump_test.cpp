@@ -83,14 +83,14 @@ TEST(CandumpRoundTrip, RandomFramesSurviveFormatting) {
     original.timestamp =
         static_cast<util::TimeNs>(rng.below(2'000'000'000)) * 1000;
     original.channel = "can0";
-    if (rng.chance(0.15)) {
+    if (rng.uniform01() < 0.15) {
       original.frame = can::Frame::remote_frame(
           can::CanId::standard(static_cast<std::uint32_t>(rng.below(0x800))),
           static_cast<std::uint8_t>(rng.below(9)));
     } else {
       std::vector<std::uint8_t> payload(rng.below(9));
       for (auto& b : payload) b = static_cast<std::uint8_t>(rng.below(256));
-      const bool extended = rng.chance(0.3);
+      const bool extended = rng.uniform01() < 0.3;
       const can::CanId id =
           extended ? can::CanId::extended(static_cast<std::uint32_t>(
                          rng.below(can::kMaxExtId + 1ULL)))
@@ -114,7 +114,7 @@ TEST(CandumpStreamTest, SkipsBlanksAndComments) {
       "(1.0) can0 100#11\n"
       "   \n"
       "(2.0) can0 200#22\n");
-  const Trace trace = read_candump(in);
+  const Trace trace = CandumpSource(in).drain_records();
   ASSERT_EQ(trace.size(), 2u);
   EXPECT_EQ(trace[0].frame.id().raw(), 0x100u);
   EXPECT_EQ(trace[1].frame.id().raw(), 0x200u);
@@ -125,7 +125,7 @@ TEST(CandumpStreamTest, ErrorCarriesLineNumber) {
       "(1.0) can0 100#11\n"
       "broken line\n");
   try {
-    (void)read_candump(in);
+    (void)CandumpSource(in).drain_records();
     FAIL() << "expected ParseError";
   } catch (const ParseError& e) {
     EXPECT_EQ(e.line(), 2u);
@@ -145,7 +145,7 @@ TEST(CandumpStreamTest, WriteThenReadIdentity) {
   }
   std::stringstream io;
   write_candump(io, trace);
-  const Trace reread = read_candump(io);
+  const Trace reread = CandumpSource(io).drain_records();
   ASSERT_EQ(reread.size(), trace.size());
   for (std::size_t i = 0; i < trace.size(); ++i) {
     EXPECT_EQ(reread[i].frame, trace[i].frame);

@@ -44,7 +44,7 @@ TEST(TraceSourceTest, CandumpStreamingMatchesBatchReader) {
   write_candump(text, sample_trace());
 
   std::istringstream batch_in(text.str());
-  const Trace batch = read_candump(batch_in);
+  const Trace batch = CandumpSource(batch_in).drain_records();
 
   std::istringstream stream_in(text.str());
   CandumpSource source(stream_in);
@@ -52,23 +52,24 @@ TEST(TraceSourceTest, CandumpStreamingMatchesBatchReader) {
   while (auto record = source.next_record()) streamed.push_back(*record);
 
   EXPECT_EQ(streamed, batch);
-  EXPECT_EQ(streamed.size(), sample_trace().size());
+  EXPECT_EQ(streamed, sample_trace());
   EXPECT_FALSE(source.next_record().has_value()) << "source must stay empty";
 }
 
 TEST(TraceSourceTest, VspyStreamingMatchesBatchReader) {
-  std::ostringstream text;
-  write_vspy_csv(text, sample_trace());
+  TempFile file("canids_source_stream.csv");
+  {
+    std::ofstream out(file.path);
+    write_vspy_csv(out, sample_trace());
+  }
+  const Trace batch = VspyCsvSource(file.path).drain_records();
 
-  std::istringstream batch_in(text.str());
-  const Trace batch = read_vspy_csv(batch_in);
-
-  std::istringstream stream_in(text.str());
-  VspyCsvSource source(stream_in);
+  VspyCsvSource source(file.path);
   Trace streamed;
   while (auto record = source.next_record()) streamed.push_back(*record);
 
   EXPECT_EQ(streamed, batch);
+  EXPECT_EQ(streamed, sample_trace());
 }
 
 TEST(TraceSourceTest, NextYieldsTimedFramesInOrder) {
@@ -77,7 +78,8 @@ TEST(TraceSourceTest, NextYieldsTimedFramesInOrder) {
   std::istringstream in(text.str());
   CandumpSource source(in);
 
-  const std::vector<can::TimedFrame> frames = source.drain();
+  std::vector<can::TimedFrame> frames;
+  while (auto frame = source.next()) frames.push_back(*frame);
   const Trace expected = sample_trace();
   ASSERT_EQ(frames.size(), expected.size());
   for (std::size_t i = 0; i < frames.size(); ++i) {
@@ -133,18 +135,6 @@ TEST(TraceSourceTest, StreamingParseErrorsCarryLineNumbers) {
   }
 }
 
-TEST(TraceSourceTest, MemorySourceReplaysTrace) {
-  const Trace trace = sample_trace();
-  MemorySource source(trace);
-  const std::vector<can::TimedFrame> frames = source.drain();
-  ASSERT_EQ(frames.size(), trace.size());
-  for (std::size_t i = 0; i < frames.size(); ++i) {
-    EXPECT_EQ(frames[i].timestamp, trace[i].timestamp);
-    EXPECT_EQ(frames[i].frame, trace[i].frame);
-  }
-  EXPECT_FALSE(source.next().has_value());
-}
-
 TEST(TraceSourceTest, SyntheticStreamingMatchesBatchRecording) {
   const SyntheticVehicle vehicle;
   const util::TimeNs duration = 3 * util::kSecond;
@@ -180,23 +170,6 @@ TEST(TraceSourceTest, FillReadsInChunksAndStopsAtEnd) {
   EXPECT_EQ(source.fill(frames, 10), 0u);
   for (std::size_t i = 0; i < frames.size(); ++i) {
     EXPECT_EQ(frames[i].frame, sample_trace()[i].frame);
-  }
-}
-
-TEST(TraceSourceTest, MemorySourceFillMatchesNext) {
-  const SyntheticVehicle vehicle;
-  auto all =
-      vehicle.stream_trace(DrivingBehavior::kIdle, util::kSecond, 1)->drain();
-  ASSERT_GT(all.size(), 10u);
-
-  MemorySource source(all);
-  std::vector<can::TimedFrame> frames;
-  while (source.fill(frames, 7) > 0) {
-  }
-  ASSERT_EQ(frames.size(), all.size());
-  for (std::size_t i = 0; i < all.size(); ++i) {
-    EXPECT_EQ(frames[i].timestamp, all[i].timestamp);
-    EXPECT_EQ(frames[i].frame, all[i].frame);
   }
 }
 

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
 #include <sstream>
+#include <string>
 
 #include "util/rng.h"
 
@@ -70,29 +73,41 @@ TEST(VspyRoundTrip, RandomRecordsSurvive) {
   }
 }
 
+/// A CSV capture on disk, read back through VspyCsvSource as `canids`
+/// reads one.
+struct CsvFile {
+  std::string path = ::testing::TempDir() + "canids_vspy_test.csv";
+  explicit CsvFile(const std::string& text) { std::ofstream(path) << text; }
+  ~CsvFile() { std::remove(path.c_str()); }
+  [[nodiscard]] Trace read() const {
+    return VspyCsvSource(path).drain_records();
+  }
+};
+
 TEST(VspyStreamTest, RequiresHeader) {
-  std::istringstream in("1.0,c,123,0,0,1,AA\n");
-  EXPECT_THROW((void)read_vspy_csv(in), ParseError);
+  const CsvFile file("1.0,c,123,0,0,1,AA\n");
+  EXPECT_THROW((void)file.read(), ParseError);
 }
 
 TEST(VspyStreamTest, HeaderThenRows) {
-  std::istringstream in(
-      "Time,Channel,ID,Extended,Remote,DLC,B1,B2,B3,B4,B5,B6,B7,B8\n"
-      "0.1,MS CAN,100,0,0,1,AA\n"
-      "0.2,MS CAN,200,0,0,0\n");
-  const Trace trace = read_vspy_csv(in);
+  const Trace trace =
+      CsvFile(
+          "Time,Channel,ID,Extended,Remote,DLC,B1,B2,B3,B4,B5,B6,B7,B8\n"
+          "0.1,MS CAN,100,0,0,1,AA\n"
+          "0.2,MS CAN,200,0,0,0\n")
+          .read();
   ASSERT_EQ(trace.size(), 2u);
   EXPECT_EQ(trace[0].frame.payload()[0], 0xAA);
   EXPECT_EQ(trace[1].frame.dlc(), 0);
 }
 
 TEST(VspyStreamTest, ErrorCarriesLineNumber) {
-  std::istringstream in(
+  const CsvFile file(
       "Time,Channel,ID,Extended,Remote,DLC\n"
       "0.1,c,100,0,0,0\n"
       "bad,row,here\n");
   try {
-    (void)read_vspy_csv(in);
+    (void)file.read();
     FAIL() << "expected ParseError";
   } catch (const ParseError& e) {
     EXPECT_EQ(e.line(), 3u);
@@ -112,7 +127,7 @@ TEST(VspyStreamTest, WriteThenReadIdentity) {
   }
   std::stringstream io;
   write_vspy_csv(io, trace);
-  const Trace reread = read_vspy_csv(io);
+  const Trace reread = CsvFile(io.str()).read();
   ASSERT_EQ(reread.size(), trace.size());
   for (std::size_t i = 0; i < trace.size(); ++i) {
     EXPECT_EQ(reread[i].frame, trace[i].frame);

@@ -50,7 +50,9 @@
 // registry listing and exit 1. A model bundle that cannot be opened exits
 // 66 from every command that reads one; one that opened but is malformed,
 // of another format version, or lacks the golden template a detector
-// needs exits 65.
+// needs exits 65. An output file (`fleet --alerts-out/--metrics-out`,
+// `serve --alerts-out/--events-out`) that lost a write exits 66 after the
+// run, naming the file on stderr.
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -174,7 +176,8 @@ void print_usage(std::FILE* out) {
                "lifecycle events as JSONL; `--telemetry-sample N` times "
                "every Nth hot-path batch into latency histograms "
                "(0/absent = no timing; verdicts are byte-identical either "
-               "way).\n");
+               "way). An --alerts-out, --metrics-out or --events-out file "
+               "that cannot be written in full exits 66.\n");
 }
 
 int usage() {
@@ -777,6 +780,10 @@ int cmd_fleet(const std::string& models_path,
   }
   if (alerts_file) {
     alerts_file->flush();
+    if (!*alerts_file) {
+      std::fprintf(stderr, "%s: cannot write alerts\n", alerts_out->c_str());
+      return 66;
+    }
     std::printf("alerts -> %s\n", alerts_out->c_str());
   }
   if (metrics_out) {
@@ -903,8 +910,20 @@ int cmd_serve(const std::string& models_path, std::vector<std::string> args) {
   // run() closed every stream; finish() drains the queues (alerts emitted
   // here still reach the sinks) and joins the workers.
   const std::vector<engine::StreamResult> streams = fleet.finish();
-  server.flush_alerts();
-  if (events) events->flush();
+  // A sink that lost a line is an error, not a clean shutdown.
+  bool sinks_ok = true;
+  if (!server.flush_alerts()) {
+    std::fprintf(stderr, "%s: cannot write alerts\n",
+                 serve_config.alerts_out.c_str());
+    sinks_ok = false;
+  }
+  if (events) {
+    events->flush();
+    if (!events->ok()) {
+      std::fprintf(stderr, "%s: cannot write events\n", events_out->c_str());
+      sinks_ok = false;
+    }
+  }
 
   if (!quiet) {
     const ids::PipelineCounters& totals = fleet.totals();
@@ -929,7 +948,7 @@ int cmd_serve(const std::string& models_path, std::vector<std::string> args) {
     }
   }
   (void)streams;
-  return 0;
+  return sinks_ok ? 0 : 66;
 }
 
 int cmd_send(const std::string& trace_path, std::vector<std::string> args) {
