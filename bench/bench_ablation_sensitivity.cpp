@@ -1,4 +1,5 @@
-// ABLATE — design-choice ablations called out in DESIGN.md:
+// ABLATE — ablations of the choices the paper fixes without a sweep (1, 2)
+// or that this repository adds (3):
 //   1. window length (the paper reacts "in as short as 1 s" — what do
 //      shorter/longer windows trade off?),
 //   2. rank of the candidate list (paper: rank = 10),

@@ -71,8 +71,11 @@ int main() {
 
   const auto t0 = std::chrono::steady_clock::now();
   double sink = 0.0;
+  ids::BitValues probabilities;
+  ids::BitValues entropies;
   for (int i = 0; i < kRepeats; ++i) {
-    for (double h : bit_counters.entropies()) sink += h;
+    bit_counters.snapshot_into(probabilities, entropies);
+    for (double h : entropies) sink += h;
   }
   const auto t1 = std::chrono::steady_clock::now();
   for (int i = 0; i < kRepeats; ++i) {

@@ -112,8 +112,8 @@ void BM_BitSlice_WindowSnapshot(benchmark::State& state) {
   for (const trace::LogRecord& r : trace) {
     counters.add(r.frame.id().raw());
   }
-  std::vector<double> probabilities;
-  std::vector<double> entropies;
+  ids::BitValues probabilities;
+  ids::BitValues entropies;
   for (auto _ : state) {
     counters.snapshot_into(probabilities, entropies);
     benchmark::DoNotOptimize(entropies.data());

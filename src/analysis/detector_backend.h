@@ -125,8 +125,8 @@ class DetectorBackend {
   /// backend must also replace its per-ID arrival tracking, so its
   /// currently-open window restarts violation counting at the swap. Null
   /// entries keep the current model. Throws std::invalid_argument when a
-  /// supplied model is incompatible (e.g. a golden template of a different
-  /// identifier width), leaving the backend untouched. Default: no-op.
+  /// supplied model is incompatible (e.g. an interval model that was never
+  /// frozen), leaving the backend untouched. Default: no-op.
   virtual void rebind_models(const model::StoredModels& models) {
     (void)models;
   }

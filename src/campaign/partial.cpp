@@ -9,6 +9,7 @@
 #include <string>
 
 #include "util/binary_io.h"
+#include "util/write_error.h"
 
 namespace canids::campaign {
 
@@ -221,13 +222,12 @@ void PartialReport::save(std::ostream& out) const {
     writer.u64(row.plan_index);
     write_trial(writer, row.trial);
   }
-  if (!out) fail("write failed");
 }
 
 void PartialReport::save_file(const std::filesystem::path& path) const {
   std::ofstream out(path, std::ios::binary);
-  if (!out) fail("cannot write " + path.string());
   save(out);
+  util::check_written(out, path.string(), "campaign partial");
 }
 
 PartialReport PartialReport::load(std::istream& in) {

@@ -73,8 +73,9 @@ struct PartialReport {
   ShardSelector shard;
   std::vector<Row> rows;  ///< canonical order (ascending plan_index)
 
-  /// Serialize to the format above. Throws std::runtime_error on I/O
-  /// failure.
+  /// Serialize to the format above. save() leaves checking `out` to the
+  /// caller; save_file throws util::WriteError when the file cannot be
+  /// written in full.
   void save(std::ostream& out) const;
   void save_file(const std::filesystem::path& path) const;
 

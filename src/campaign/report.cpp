@@ -9,6 +9,7 @@
 
 #include "util/csv.h"
 #include "util/json.h"
+#include "util/write_error.h"
 
 namespace canids::campaign {
 
@@ -361,29 +362,15 @@ void CampaignReport::write_json(std::ostream& out) const {
 
 void CampaignReport::write_all(const std::filesystem::path& dir) const {
   std::filesystem::create_directories(dir);
-  const auto open = [&](const char* file) {
+  const auto write = [&](const char* file, auto member) {
     std::ofstream out(dir / file);
-    if (!out) {
-      throw std::runtime_error("cannot write " + (dir / file).string());
-    }
-    return out;
+    (this->*member)(out);
+    util::check_written(out, (dir / file).string(), "report");
   };
-  {
-    std::ofstream out = open("trials.csv");
-    write_trials_csv(out);
-  }
-  {
-    std::ofstream out = open("cells.csv");
-    write_cells_csv(out);
-  }
-  {
-    std::ofstream out = open("roc.csv");
-    write_roc_csv(out);
-  }
-  {
-    std::ofstream out = open("report.json");
-    write_json(out);
-  }
+  write("trials.csv", &CampaignReport::write_trials_csv);
+  write("cells.csv", &CampaignReport::write_cells_csv);
+  write("roc.csv", &CampaignReport::write_roc_csv);
+  write("report.json", &CampaignReport::write_json);
 }
 
 }  // namespace canids::campaign

@@ -92,7 +92,8 @@ struct CampaignReport {
   void write_json(std::ostream& out) const;
 
   /// Write trials.csv, cells.csv, roc.csv, and report.json into `dir`
-  /// (created if missing).
+  /// (created if missing). Throws util::WriteError when a file cannot be
+  /// written in full.
   void write_all(const std::filesystem::path& dir) const;
 };
 

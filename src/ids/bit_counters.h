@@ -8,13 +8,15 @@
 #include <array>
 #include <bit>
 #include <cstdint>
-#include <vector>
 
 #include "can/frame.h"
 #include "ids/binary_entropy.h"
 #include "util/contracts.h"
 
 namespace canids::ids {
+
+/// One value per bit of an 11-bit identifier, MSB first.
+using BitValues = std::array<double, can::kStdIdBits>;
 
 /// Per-bit '1' counters over a stream of 11-bit identifiers.
 class BitCounters {
@@ -78,33 +80,15 @@ class BitCounters {
     return static_cast<double>(ones(bit)) / static_cast<double>(total_);
   }
 
-  [[nodiscard]] std::vector<double> probabilities() const {
-    std::vector<double> out(can::kStdIdBits);
-    for (int i = 0; i < can::kStdIdBits; ++i) {
-      out[static_cast<std::size_t>(i)] = probability(i);
-    }
-    return out;
-  }
-
-  /// Ĥ = {H_1 .. H_11}, the per-bit binary entropy vector.
-  [[nodiscard]] std::vector<double> entropies() const {
-    std::vector<double> out(can::kStdIdBits);
-    for (int i = 0; i < can::kStdIdBits; ++i) {
-      out[static_cast<std::size_t>(i)] = binary_entropy(probability(i));
-    }
-    return out;
-  }
-
-  /// Fill both per-bit vectors in one pass. Bits sharing a '1' count get one
+  /// Fill p_i = probability(i) and Ĥ = {H_1 .. H_11}, H_i =
+  /// binary_entropy(p_i), in one pass. Bits sharing a '1' count get one
   /// binary_entropy evaluation instead of 11 of them — identifiers are
   /// priority-clustered, so windows routinely repeat counts across bits.
-  /// Results are bit-identical to probabilities()/entropies().
-  void snapshot_into(std::vector<double>& probabilities_out,
-                     std::vector<double>& entropies_out) const {
+  /// Requires a non-empty window.
+  void snapshot_into(BitValues& probabilities_out,
+                     BitValues& entropies_out) const {
     CANIDS_EXPECTS(total_ > 0);
     constexpr auto kBits = static_cast<std::size_t>(can::kStdIdBits);
-    probabilities_out.resize(kBits);
-    entropies_out.resize(kBits);
     std::array<std::uint64_t, kBits> seen_ones;
     std::array<double, kBits> seen_entropy;
     std::size_t cached = 0;
@@ -200,14 +184,17 @@ inline constexpr int kPairCount = can::kStdIdBits * (can::kStdIdBits - 1) / 2;
   return i * (2 * can::kStdIdBits - i - 1) / 2 + (j - i - 1);
 }
 
+/// One value per bit pair, in pair_index order.
+using PairValues = std::array<double, kPairCount>;
+
 /// Per-bit-pair co-occurrence counters: q_ij = Pr(bit_i = 1 AND bit_j = 1).
 ///
 /// Still O(1) in the number of identifiers (55 counters on top of the 11
 /// marginals), but far more informative for malicious-ID inference: mixing
 /// traffic is linear in q_ij exactly as in p_i, giving 66 usable equations
-/// instead of 11. This powers the multi-ID inference extension described in
-/// DESIGN.md §6; the detector itself stays on the paper's 11 marginal
-/// entropies.
+/// instead of 11. This powers the multi-ID inference extension (README,
+/// "Detector backends": bit-entropy's 55 pair counters); the detector itself
+/// stays on the paper's 11 marginal entropies.
 class PairCounters {
  public:
   /// Only pairs of set bits contribute, so walk set bits (MSB-down) and
@@ -254,8 +241,8 @@ class PairCounters {
   }
 
   /// All q_ij in flat upper-triangle order.
-  [[nodiscard]] std::vector<double> pair_probabilities() const {
-    std::vector<double> out(static_cast<std::size_t>(kPairCount));
+  [[nodiscard]] PairValues pair_probabilities() const {
+    PairValues out{};
     for (int i = 0; i < can::kStdIdBits - 1; ++i) {
       for (int j = i + 1; j < can::kStdIdBits; ++j) {
         out[static_cast<std::size_t>(pair_index(i, j))] =

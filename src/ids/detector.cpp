@@ -13,10 +13,6 @@ Detector::Detector(std::shared_ptr<const GoldenTemplate> golden,
   CANIDS_EXPECTS(golden_ != nullptr);
   CANIDS_EXPECTS(config_.alpha > 0.0);
   CANIDS_EXPECTS(config_.min_threshold >= 0.0);
-  CANIDS_EXPECTS(golden_->mean_entropy.size() ==
-                 static_cast<std::size_t>(can::kStdIdBits));
-
-  thresholds_.resize(static_cast<std::size_t>(can::kStdIdBits));
   for (int i = 0; i < can::kStdIdBits; ++i) {
     thresholds_[static_cast<std::size_t>(i)] =
         std::max(config_.alpha * golden_->entropy_range(i),
@@ -26,7 +22,6 @@ Detector::Detector(std::shared_ptr<const GoldenTemplate> golden,
 
 DetectionResult Detector::evaluate(const WindowSnapshot& window) const {
   const GoldenTemplate& golden = *golden_;
-  CANIDS_EXPECTS(window.width() == can::kStdIdBits);
 
   DetectionResult result;
   result.window_start = window.start;
@@ -38,10 +33,9 @@ DetectionResult Detector::evaluate(const WindowSnapshot& window) const {
   }
   result.evaluated = true;
 
-  result.bits.reserve(static_cast<std::size_t>(can::kStdIdBits));
   for (int i = 0; i < can::kStdIdBits; ++i) {
     const auto b = static_cast<std::size_t>(i);
-    BitDeviation dev;
+    BitDeviation& dev = result.bits[b];
     dev.bit = i;
     dev.observed_entropy = window.entropies[b];
     dev.template_entropy = golden.mean_entropy[b];
@@ -55,7 +49,6 @@ DetectionResult Detector::evaluate(const WindowSnapshot& window) const {
       result.alert = true;
       result.alerted_bits.push_back(i);
     }
-    result.bits.push_back(dev);
   }
   return result;
 }

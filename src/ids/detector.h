@@ -5,6 +5,7 @@
 // suspend and masquerade, which remove identifiers, can raise it.
 #pragma once
 
+#include <array>
 #include <memory>
 #include <vector>
 
@@ -39,7 +40,8 @@ struct BitDeviation {
 struct DetectionResult {
   bool evaluated = false;  ///< false when the window was below min frames
   bool alert = false;
-  std::vector<BitDeviation> bits;
+  /// One entry per bit; all zero on a window that was not evaluated.
+  std::array<BitDeviation, can::kStdIdBits> bits{};
   std::vector<int> alerted_bits;
   util::TimeNs window_start = 0;
   util::TimeNs window_end = 0;
@@ -59,25 +61,19 @@ class Detector {
   [[nodiscard]] DetectionResult evaluate(const WindowSnapshot& window) const;
 
   /// Th_i for every bit.
-  [[nodiscard]] const std::vector<double>& thresholds() const noexcept {
+  [[nodiscard]] const BitValues& thresholds() const noexcept {
     return thresholds_;
-  }
-  [[nodiscard]] const GoldenTemplate& golden() const noexcept {
-    return *golden_;
   }
   /// The shared template, for handing to further detectors free of copies.
   [[nodiscard]] const std::shared_ptr<const GoldenTemplate>& golden_ptr()
       const noexcept {
     return golden_;
   }
-  [[nodiscard]] const DetectorConfig& config() const noexcept {
-    return config_;
-  }
 
  private:
   std::shared_ptr<const GoldenTemplate> golden_;
   DetectorConfig config_;
-  std::vector<double> thresholds_;
+  BitValues thresholds_{};
 };
 
 }  // namespace canids::ids

@@ -1,6 +1,7 @@
 #include "ids/golden_template.h"
 
 #include <algorithm>
+#include <array>
 #include <stdexcept>
 #include <string>
 
@@ -20,37 +21,33 @@ double GoldenTemplate::probability_range(int bit) const {
          min_probability[static_cast<std::size_t>(bit)];
 }
 
-void TemplateBuilder::add_window(const WindowSnapshot& window) {
-  CANIDS_EXPECTS(window.width() == can::kStdIdBits);
-  CANIDS_EXPECTS(window.frames > 0);
-  for (std::size_t b = 0; b < kBits; ++b) {
-    const double h = window.entropies[b];
-    const double p = window.probabilities[b];
-    if (windows_ == 0) {
-      min_entropy_[b] = max_entropy_[b] = h;
-      min_probability_[b] = max_probability_[b] = p;
-    } else {
-      min_entropy_[b] = std::min(min_entropy_[b], h);
-      max_entropy_[b] = std::max(max_entropy_[b], h);
-      min_probability_[b] = std::min(min_probability_[b], p);
-      max_probability_[b] = std::max(max_probability_[b], p);
-    }
-    sum_entropy_[b] += h;
-    sum_probability_[b] += p;
+namespace {
+
+/// Fold one window's values into running sums and bounds; the first
+/// window seeds the bounds.
+template <std::size_t N>
+void fold(const std::array<double, N>& values, bool first,
+          std::array<double, N>& sum, std::array<double, N>& lo,
+          std::array<double, N>& hi) {
+  for (std::size_t i = 0; i < N; ++i) {
+    lo[i] = first ? values[i] : std::min(lo[i], values[i]);
+    hi[i] = first ? values[i] : std::max(hi[i], values[i]);
+    sum[i] += values[i];
   }
-  if (window.has_pairs()) {
-    CANIDS_EXPECTS(window.pair_probabilities.size() == kPairs);
-    for (std::size_t idx = 0; idx < kPairs; ++idx) {
-      const double q = window.pair_probabilities[idx];
-      if (windows_with_pairs_ == 0) {
-        min_pair_[idx] = max_pair_[idx] = q;
-      } else {
-        min_pair_[idx] = std::min(min_pair_[idx], q);
-        max_pair_[idx] = std::max(max_pair_[idx], q);
-      }
-      sum_pair_[idx] += q;
-    }
-    ++windows_with_pairs_;
+}
+
+}  // namespace
+
+void TemplateBuilder::add_window(const WindowSnapshot& window) {
+  CANIDS_EXPECTS(window.frames > 0);
+  const bool first = windows_ == 0;
+  fold(window.entropies, first, sum_entropy_, min_entropy_, max_entropy_);
+  fold(window.probabilities, first, sum_probability_, min_probability_,
+       max_probability_);
+  if (!window.pair_probabilities) {
+    pairs_in_every_window_ = false;
+  } else if (pairs_in_every_window_) {
+    fold(*window.pair_probabilities, first, sum_pair_, min_pair_, max_pair_);
   }
   ++windows_;
 }
@@ -62,25 +59,21 @@ GoldenTemplate TemplateBuilder::build(std::size_t min_windows) const {
         "golden template needs at least " + std::to_string(min_windows) +
         " training windows, got " + std::to_string(windows_));
   }
+  const auto windows = static_cast<double>(windows_);
   GoldenTemplate tpl;
   tpl.training_windows = windows_;
-  tpl.mean_entropy.resize(kBits);
-  tpl.mean_probability.resize(kBits);
-  for (std::size_t b = 0; b < kBits; ++b) {
-    tpl.mean_entropy[b] = sum_entropy_[b] / static_cast<double>(windows_);
-    tpl.mean_probability[b] =
-        sum_probability_[b] / static_cast<double>(windows_);
+  for (std::size_t b = 0; b < sum_entropy_.size(); ++b) {
+    tpl.mean_entropy[b] = sum_entropy_[b] / windows;
+    tpl.mean_probability[b] = sum_probability_[b] / windows;
   }
   tpl.min_entropy = min_entropy_;
   tpl.max_entropy = max_entropy_;
   tpl.min_probability = min_probability_;
   tpl.max_probability = max_probability_;
-  // Pair statistics are only meaningful when every window supplied them.
-  if (windows_with_pairs_ == windows_ && windows_with_pairs_ > 0) {
-    tpl.mean_pair_probability.resize(kPairs);
-    for (std::size_t idx = 0; idx < kPairs; ++idx) {
-      tpl.mean_pair_probability[idx] =
-          sum_pair_[idx] / static_cast<double>(windows_);
+  tpl.has_pairs = pairs_in_every_window_;
+  if (tpl.has_pairs) {
+    for (std::size_t idx = 0; idx < sum_pair_.size(); ++idx) {
+      tpl.mean_pair_probability[idx] = sum_pair_[idx] / windows;
     }
     tpl.min_pair_probability = min_pair_;
     tpl.max_pair_probability = max_pair_;

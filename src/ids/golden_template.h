@@ -4,11 +4,12 @@
 // and the observed range max(H_i)-min(H_i) from which the detection
 // threshold Th = alpha * range derives. We additionally keep the same
 // statistics on the raw bit probabilities, which the malicious-ID inference
-// uses (see DESIGN.md, "Design clarifications").
+// uses: an injection shifts p_i linearly in the injected traffic share,
+// which H_b(p_i) does not (see ids/inference.h).
 #pragma once
 
 #include <cstdint>
-#include <vector>
+#include <type_traits>
 
 #include "ids/window.h"
 
@@ -18,34 +19,34 @@ namespace canids::ids {
 /// any count >= 2 but callers reproducing the paper should supply 35.
 inline constexpr std::size_t kPaperTrainingWindows = 35;
 
-/// Statistics of the 11 bits of a standard identifier.
+/// Statistics of the 11 bits of a standard identifier. A plain value.
 struct GoldenTemplate {
   std::size_t training_windows = 0;
 
-  std::vector<double> mean_entropy;       ///< H_temp per bit
-  std::vector<double> min_entropy;
-  std::vector<double> max_entropy;
-  std::vector<double> mean_probability;   ///< p̄_i per bit
-  std::vector<double> min_probability;
-  std::vector<double> max_probability;
-  /// Pairwise co-occurrence statistics q̄_ij (flat upper-triangle order);
-  /// empty when training windows carried no pair data. Inference-only.
-  std::vector<double> mean_pair_probability;
-  std::vector<double> min_pair_probability;
-  std::vector<double> max_pair_probability;
+  BitValues mean_entropy{};      ///< H_temp per bit
+  BitValues min_entropy{};
+  BitValues max_entropy{};
+  BitValues mean_probability{};  ///< p̄_i per bit
+  BitValues min_probability{};
+  BitValues max_probability{};
+  /// Whether every training window carried pair data, and so whether the
+  /// three pair arrays below hold statistics (zeros otherwise).
+  bool has_pairs = false;
+  /// Pairwise co-occurrence statistics q̄_ij (flat upper-triangle order).
+  /// Inference-only.
+  PairValues mean_pair_probability{};
+  PairValues min_pair_probability{};
+  PairValues max_pair_probability{};
 
   /// max - min of entropy per bit; the paper's threshold base.
   [[nodiscard]] double entropy_range(int bit) const;
   /// max - min of probability per bit; the inference noise base.
   [[nodiscard]] double probability_range(int bit) const;
 
-  [[nodiscard]] bool has_pairs() const noexcept {
-    return !mean_pair_probability.empty();
-  }
-
   friend bool operator==(const GoldenTemplate&,
                          const GoldenTemplate&) = default;
 };
+static_assert(std::is_trivially_copyable_v<GoldenTemplate>);
 
 /// Accumulates training windows into a GoldenTemplate.
 class TemplateBuilder {
@@ -60,20 +61,19 @@ class TemplateBuilder {
   [[nodiscard]] GoldenTemplate build(std::size_t min_windows = 2) const;
 
  private:
-  static constexpr auto kBits = static_cast<std::size_t>(can::kStdIdBits);
-  static constexpr auto kPairs = static_cast<std::size_t>(kPairCount);
-
   std::size_t windows_ = 0;
-  std::size_t windows_with_pairs_ = 0;
-  std::vector<double> sum_entropy_ = std::vector<double>(kBits);
-  std::vector<double> min_entropy_ = std::vector<double>(kBits);
-  std::vector<double> max_entropy_ = std::vector<double>(kBits);
-  std::vector<double> sum_probability_ = std::vector<double>(kBits);
-  std::vector<double> min_probability_ = std::vector<double>(kBits);
-  std::vector<double> max_probability_ = std::vector<double>(kBits);
-  std::vector<double> sum_pair_ = std::vector<double>(kPairs);
-  std::vector<double> min_pair_ = std::vector<double>(kPairs);
-  std::vector<double> max_pair_ = std::vector<double>(kPairs);
+  /// Cleared by the first window without pair data: pair statistics are
+  /// only meaningful when every window supplied them.
+  bool pairs_in_every_window_ = true;
+  BitValues sum_entropy_{};
+  BitValues min_entropy_{};
+  BitValues max_entropy_{};
+  BitValues sum_probability_{};
+  BitValues min_probability_{};
+  BitValues max_probability_{};
+  PairValues sum_pair_{};
+  PairValues min_pair_{};
+  PairValues max_pair_{};
 };
 
 }  // namespace canids::ids

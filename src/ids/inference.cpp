@@ -342,7 +342,7 @@ InferenceEngine::InferenceEngine(std::shared_ptr<const GoldenTemplate> golden,
   // pair statistics — the co-occurrence part (bit_i*bit_j - q̄_ij).
   constexpr auto width = static_cast<std::size_t>(can::kStdIdBits);
   const std::size_t pairs =
-      golden_->has_pairs() ? static_cast<std::size_t>(kPairCount) : 0;
+      golden_->has_pairs ? static_cast<std::size_t>(kPairCount) : 0;
   stride_ = width + pairs;
   patterns_.resize(id_pool_.size() * stride_);
   for (std::size_t n = 0; n < id_pool_.size(); ++n) {
@@ -366,7 +366,7 @@ InferenceEngine::InferenceEngine(std::shared_ptr<const GoldenTemplate> golden,
 }
 
 std::vector<BitConstraint> InferenceEngine::derive_constraints(
-    const std::vector<double>& delta_p) const {
+    const BitValues& delta_p) const {
   std::vector<BitConstraint> constraints;
   for (int i = 0; i < can::kStdIdBits; ++i) {
     const auto b = static_cast<std::size_t>(i);
@@ -390,25 +390,23 @@ bool InferenceEngine::satisfies(std::uint32_t id,
 }
 
 InferenceResult InferenceEngine::infer(const WindowSnapshot& window) const {
-  CANIDS_EXPECTS(window.width() == can::kStdIdBits);
   constexpr auto width = static_cast<std::size_t>(can::kStdIdBits);
-  const bool use_pairs = golden_->has_pairs() && window.has_pairs();
+  const bool use_pairs = golden_->has_pairs && window.pair_probabilities;
   const std::size_t pairs =
       use_pairs ? static_cast<std::size_t>(kPairCount) : 0;
   const std::size_t dims = width + pairs;
 
   // ---- Observation vector: marginal shifts, then pair shifts --------------
   std::vector<double> delta(dims);
-  std::vector<double> delta_p(width);
+  BitValues delta_p{};
   for (std::size_t b = 0; b < width; ++b) {
     delta_p[b] = window.probabilities[b] - golden_->mean_probability[b];
     delta[b] = delta_p[b];
   }
   if (use_pairs) {
-    CANIDS_EXPECTS(window.pair_probabilities.size() == pairs);
     for (std::size_t idx = 0; idx < pairs; ++idx) {
-      delta[width + idx] =
-          window.pair_probabilities[idx] - golden_->mean_pair_probability[idx];
+      delta[width + idx] = (*window.pair_probabilities)[idx] -
+                           golden_->mean_pair_probability[idx];
     }
   }
 

@@ -68,7 +68,7 @@ class InferenceEngine {
 
  private:
   [[nodiscard]] std::vector<BitConstraint> derive_constraints(
-      const std::vector<double>& delta_p) const;
+      const BitValues& delta_p) const;
   [[nodiscard]] bool satisfies(std::uint32_t id,
                                const std::vector<BitConstraint>& cs) const;
   /// Pool entry `n`'s feature pattern (`stride_` doubles).

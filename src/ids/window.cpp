@@ -15,14 +15,9 @@ WindowSnapshot WindowAccumulator::snapshot(util::TimeNs start,
   snap.start = start;
   snap.end = end;
   snap.frames = counters_.total();
-  if (counters_.total() > 0) {
-    counters_.marginals().snapshot_into(snap.probabilities, snap.entropies);
-    if (config_.track_pairs) {
-      snap.pair_probabilities = counters_.pair_probabilities();
-    }
-  } else {
-    snap.probabilities.assign(can::kStdIdBits, 0.0);
-    snap.entropies.assign(can::kStdIdBits, 0.0);
+  counters_.marginals().snapshot_into(snap.probabilities, snap.entropies);
+  if (config_.track_pairs) {
+    snap.pair_probabilities = counters_.pair_probabilities();
   }
   return snap;
 }

@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <type_traits>
 #include <vector>
 
 #include "can/frame.h"
@@ -12,29 +13,24 @@
 
 namespace canids::ids {
 
-/// Per-window measurement: the probability and entropy vectors plus frame
-/// accounting. This is both the training sample for the golden template and
-/// the unit the detector judges.
+/// Per-window measurement: the probability and entropy of each of the 11
+/// bits plus frame accounting. This is both the training sample for the
+/// golden template and the unit the detector judges. A plain value: closing
+/// a window allocates nothing.
 struct WindowSnapshot {
   util::TimeNs start = 0;
   util::TimeNs end = 0;
   std::uint64_t frames = 0;
-  std::vector<double> probabilities;  ///< p_i per bit, MSB first
-  std::vector<double> entropies;      ///< H_b(p_i) per bit
-  /// q_ij per bit pair (flat upper-triangle order, see pair_index); empty
+  BitValues probabilities{};  ///< p_i per bit, MSB first
+  BitValues entropies{};      ///< H_b(p_i) per bit
+  /// q_ij per bit pair (flat upper-triangle order, see pair_index); absent
   /// when pair tracking is disabled. Used only by the inference extension.
-  std::vector<double> pair_probabilities;
-
-  [[nodiscard]] int width() const noexcept {
-    return static_cast<int>(probabilities.size());
-  }
-  [[nodiscard]] bool has_pairs() const noexcept {
-    return !pair_probabilities.empty();
-  }
+  std::optional<PairValues> pair_probabilities;
 
   friend bool operator==(const WindowSnapshot&,
                          const WindowSnapshot&) = default;
 };
+static_assert(std::is_trivially_copyable_v<WindowSnapshot>);
 
 struct WindowConfig {
   util::TimeNs duration = util::kSecond;
@@ -73,14 +69,11 @@ class WindowAccumulator {
   /// Emit whatever has accumulated (e.g. at end of trace); empty -> nullopt.
   std::optional<WindowSnapshot> flush();
 
-  [[nodiscard]] const WindowConfig& config() const noexcept { return config_; }
-  [[nodiscard]] std::uint64_t frames_in_current() const noexcept {
-    return counters_.total();
-  }
   /// Extended identifiers fed so far: timed, never counted.
   [[nodiscard]] std::uint64_t dropped() const noexcept { return dropped_; }
 
  private:
+  /// Snapshot of the open window; it must hold a frame.
   [[nodiscard]] WindowSnapshot snapshot(util::TimeNs start,
                                         util::TimeNs end) const;
 

@@ -53,7 +53,6 @@ void ModelBundle::save(std::ostream& out) const {
     writer.u64(section.payload.size());
     writer.bytes(section.payload);
   }
-  if (!out) fail("write failed");
 }
 
 ModelBundle ModelBundle::load(std::istream& in) {

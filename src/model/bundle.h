@@ -63,8 +63,8 @@ class ModelBundle {
 
   [[nodiscard]] bool empty() const noexcept { return sections_.empty(); }
 
-  /// Serialize to the format above. Throws std::runtime_error on I/O
-  /// failure.
+  /// Serialize to the format above. The caller checks `out`
+  /// (save_models_file does).
   void save(std::ostream& out) const;
 
   /// Parse a bundle, consuming the whole stream. Throws std::runtime_error

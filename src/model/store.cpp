@@ -9,7 +9,7 @@
 #include <stdexcept>
 
 #include "util/binary_io.h"
-#include "util/contracts.h"
+#include "util/write_error.h"
 
 namespace canids::model {
 
@@ -22,18 +22,16 @@ namespace {
 //
 //   golden-template  u32 width (always 11: any other value is rejected),
 //                    u64 training_windows, then the six per-bit f64
-//                    vectors of kBitVectors (11 values each, bit order), a
-//                    0/1 pairs byte, and when 1 the three pair vectors of
-//                    kPairVectors (55 values each, pair_index order)
+//                    arrays of kBitArrays (11 values each, bit order), a
+//                    0/1 pairs byte, and when 1 the three pair arrays of
+//                    kPairArrays (55 values each, pair_index order)
 //   symbol-entropy   f64 alpha, f64 min_threshold, u64 min_window_frames,
 //                    f64 mean entropy, f64 threshold
 //   interval         f64 fast_ratio, u32 violations_to_alert, a 0/1
 //                    alert_on_unseen byte, u32 count, then count rows of
 //                    (u32 id, i64 mean_interval_ns), ids strictly ascending
 
-using TemplateVector = std::vector<double> ids::GoldenTemplate::*;
-
-constexpr std::array<TemplateVector, 6> kBitVectors = {
+constexpr std::array<ids::BitValues ids::GoldenTemplate::*, 6> kBitArrays = {
     &ids::GoldenTemplate::mean_entropy,
     &ids::GoldenTemplate::min_entropy,
     &ids::GoldenTemplate::max_entropy,
@@ -42,27 +40,22 @@ constexpr std::array<TemplateVector, 6> kBitVectors = {
     &ids::GoldenTemplate::max_probability,
 };
 
-constexpr std::array<TemplateVector, 3> kPairVectors = {
+constexpr std::array<ids::PairValues ids::GoldenTemplate::*, 3> kPairArrays = {
     &ids::GoldenTemplate::mean_pair_probability,
     &ids::GoldenTemplate::min_pair_probability,
     &ids::GoldenTemplate::max_pair_probability,
 };
 
-constexpr auto kBits = static_cast<std::size_t>(can::kStdIdBits);
-constexpr auto kPairs = static_cast<std::size_t>(ids::kPairCount);
-
 void write_golden(util::BinaryWriter& out, const ids::GoldenTemplate& golden) {
-  out.u32(static_cast<std::uint32_t>(kBits));
+  out.u32(static_cast<std::uint32_t>(can::kStdIdBits));
   out.u64(golden.training_windows);
-  for (const TemplateVector vector : kBitVectors) {
-    CANIDS_EXPECTS((golden.*vector).size() == kBits);
-    for (const double value : golden.*vector) out.f64(value);
+  for (const auto array : kBitArrays) {
+    for (const double value : golden.*array) out.f64(value);
   }
-  out.u8(golden.has_pairs() ? 1 : 0);
-  if (!golden.has_pairs()) return;
-  for (const TemplateVector vector : kPairVectors) {
-    CANIDS_EXPECTS((golden.*vector).size() == kPairs);
-    for (const double value : golden.*vector) out.f64(value);
+  out.u8(golden.has_pairs ? 1 : 0);
+  if (!golden.has_pairs) return;
+  for (const auto array : kPairArrays) {
+    for (const double value : golden.*array) out.f64(value);
   }
 }
 
@@ -102,28 +95,23 @@ double finite(util::BinaryReader& in, const char* what) {
   return value;
 }
 
-std::vector<double> finite_vector(util::BinaryReader& in, std::size_t count,
-                                  const char* what) {
-  std::vector<double> values;
-  values.reserve(count);  // at most 55 pair statistics
-  for (std::size_t i = 0; i < count; ++i) values.push_back(finite(in, what));
-  return values;
-}
-
 ids::GoldenTemplate read_golden(util::BinaryReader& in) {
   const std::uint32_t width = in.u32("width");
-  if (width != kBits) {
+  if (width != static_cast<std::uint32_t>(can::kStdIdBits)) {
     in.fail("width " + std::to_string(width) +
             " is not 11 (the template counts standard identifier bits)");
   }
   ids::GoldenTemplate golden;
   golden.training_windows = in.u64("training window count");
-  for (const TemplateVector vector : kBitVectors) {
-    golden.*vector = finite_vector(in, kBits, "bit statistic");
+  for (const auto array : kBitArrays) {
+    for (double& value : golden.*array) value = finite(in, "bit statistic");
   }
-  if (in.boolean("pairs flag")) {
-    for (const TemplateVector vector : kPairVectors) {
-      golden.*vector = finite_vector(in, kPairs, "pair statistic");
+  golden.has_pairs = in.boolean("pairs flag");
+  if (golden.has_pairs) {
+    for (const auto array : kPairArrays) {
+      for (double& value : golden.*array) {
+        value = finite(in, "pair statistic");
+      }
     }
   }
   return golden;
@@ -242,8 +230,8 @@ std::string describe_section(const ModelBundle::Section& section) {
   std::ostringstream out;
   if (section.name == kGoldenSection) {
     const ids::GoldenTemplate golden = decode(section, read_golden);
-    out << "width " << kBits << ", " << golden.training_windows
-        << " training windows, pairs " << (golden.has_pairs() ? "yes" : "no");
+    out << "width " << can::kStdIdBits << ", " << golden.training_windows
+        << " training windows, pairs " << (golden.has_pairs ? "yes" : "no");
   } else if (section.name == kMuterSection) {
     const baselines::MuterEntropyIds muter = decode(section, read_muter);
     char text[128];
@@ -285,10 +273,8 @@ void save_models_file(const std::filesystem::path& path,
                       const StoredModels& models) {
   const ModelBundle bundle = pack(models);
   std::ofstream out(path, std::ios::binary);
-  if (!out) {
-    throw std::runtime_error("cannot write " + path.string());
-  }
   bundle.save(out);
+  util::check_written(out, path.string(), "model bundle");
 }
 
 }  // namespace canids::model

@@ -73,8 +73,8 @@ class UnreadableModelFile : public std::runtime_error {
 [[nodiscard]] StoredModels load_models_file(
     const std::filesystem::path& path);
 
-/// Save as a bundle. Throws std::runtime_error on I/O failure and
-/// std::invalid_argument when `models` is empty.
+/// Save as a bundle. Throws util::WriteError when the file cannot be
+/// written in full and std::invalid_argument when `models` is empty.
 void save_models_file(const std::filesystem::path& path,
                       const StoredModels& models);
 

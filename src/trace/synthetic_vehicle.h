@@ -1,5 +1,6 @@
 // Synthetic in-vehicle traffic model standing in for the paper's 2016 Ford
-// Fusion capture (see DESIGN.md, substitution table).
+// Fusion capture. The repository ships no recorded traffic, so every
+// experiment here runs on this model (README, "Repository layout").
 //
 // The model reproduces the properties the entropy IDS depends on:
 //   * 223 active identifiers — 10.88 % of the 11-bit space, the count the

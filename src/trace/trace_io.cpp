@@ -8,6 +8,7 @@
 #include "trace/candump.h"
 #include "trace/vspy_csv.h"
 #include "util/csv.h"
+#include "util/write_error.h"
 
 namespace canids::trace {
 
@@ -93,11 +94,8 @@ void save_trace_file(const std::filesystem::path& path, const Trace& trace,
   std::ofstream out(path, format == TraceFormat::kBinary
                               ? std::ios::out | std::ios::binary
                               : std::ios::out);
-  if (!out) {
-    throw std::runtime_error("cannot open trace file for writing: " +
-                             path.string());
-  }
   save_trace(out, trace, format);
+  util::check_written(out, path.string(), "trace");
 }
 
 TraceRecorder::TraceRecorder(can::BusSimulator& bus, std::string channel)

@@ -39,7 +39,8 @@ enum class TraceFormat : std::uint8_t { kCandump, kVspyCsv, kBinary };
 /// Load a trace from a file; throws ParseError / std::runtime_error.
 [[nodiscard]] Trace load_trace_file(const std::filesystem::path& path);
 
-/// Save a trace in the requested format.
+/// Save a trace in the requested format. save_trace_file throws
+/// util::WriteError when the file cannot be written in full.
 void save_trace(std::ostream& out, const Trace& trace, TraceFormat format);
 void save_trace_file(const std::filesystem::path& path, const Trace& trace,
                      TraceFormat format);

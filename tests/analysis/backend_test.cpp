@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <cstdlib>
 #include <memory>
+#include <new>
 #include <stdexcept>
 #include <vector>
 
@@ -11,6 +14,30 @@
 #include "ids/bit_counters.h"
 #include "ids/golden_template.h"
 #include "util/rng.h"
+
+// Every global operator new of this test binary, counted for
+// CleanWindowAllocatesNothing. Left out under a sanitizer, which brings its
+// own allocator.
+#if !defined(__SANITIZE_ADDRESS__) && !defined(__SANITIZE_THREAD__)
+#define CANIDS_COUNTS_ALLOCATIONS 1
+namespace {
+std::atomic<std::size_t> g_allocations{0};
+}  // namespace
+
+void* operator new(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* block = std::malloc(size == 0 ? 1 : size)) return block;
+  throw std::bad_alloc();
+}
+// Out of line, so that GCC does not take a free() inlined next to a `new`
+// for a mismatched pair.
+[[gnu::noinline]] void operator delete(void* block) noexcept {
+  std::free(block);
+}
+[[gnu::noinline]] void operator delete(void* block, std::size_t) noexcept {
+  std::free(block);
+}
+#endif
 
 namespace canids::analysis {
 namespace {
@@ -35,8 +62,7 @@ struct BackendWorld {
       }
       ids::WindowSnapshot snap;
       snap.frames = counters.total();
-      snap.probabilities = counters.probabilities();
-      snap.entropies = counters.entropies();
+      counters.snapshot_into(snap.probabilities, snap.entropies);
       builder.add_window(snap);
     }
     golden = std::make_shared<const ids::GoldenTemplate>(
@@ -366,6 +392,47 @@ TEST(BitEntropyBackendTest, OnFramesMatchesPerFrameFeeding) {
               reference->counters().dropped_frames);
     EXPECT_EQ(backend->counters().alerts, reference->counters().alerts);
   }
+}
+
+TEST(BitEntropyBackendTest, CleanWindowAllocatesNothing) {
+#ifndef CANIDS_COUNTS_ALLOCATIONS
+  GTEST_SKIP() << "a sanitizer replaces operator new";
+#else
+  // One on_frames call per second of clean traffic closes one window. After
+  // three warm-up windows (the scratch buffers reach their size), closing,
+  // judging and emitting a window must not touch the heap.
+  constexpr int kWarmUp = 3;
+  constexpr int kCounted = 100;
+  const BackendWorld world;
+  const std::vector<can::TimedFrame> frames =
+      world.make_trace(17, kWarmUp + kCounted + 1);
+  std::vector<can::TimedId> items;
+  for (const can::TimedFrame& frame : frames) {
+    items.push_back(can::TimedId{frame.timestamp, frame.frame.id()});
+  }
+  const std::size_t per_second = items.size() / (kWarmUp + kCounted + 1);
+  for (const bool track_pairs : {true, false}) {
+    DetectorOptions options = world.options();
+    options.pipeline.window.track_pairs = track_pairs;
+    const auto backend = make_detector("bit-entropy", options);
+    std::vector<WindowVerdict> out;
+    std::size_t allocations = 0;
+    std::size_t clean_windows = 0;
+    for (int second = 0; second <= kWarmUp + kCounted; ++second) {
+      const std::size_t before = g_allocations.load();
+      backend->on_frames(items.data() + second * per_second, per_second, out);
+      if (second > kWarmUp) allocations += g_allocations.load() - before;
+      for (const WindowVerdict& verdict : out) {
+        if (second > kWarmUp && verdict.evaluated && !verdict.alert) {
+          ++clean_windows;
+        }
+      }
+      out.clear();
+    }
+    EXPECT_EQ(clean_windows, std::size_t{kCounted}) << "pairs " << track_pairs;
+    EXPECT_EQ(allocations, 0u) << "pairs " << track_pairs;
+  }
+#endif
 }
 
 TEST(DetectorBackendTest, DefaultOnFramesMatchesPerFrame) {

@@ -25,8 +25,7 @@ namespace {
     }
     ids::WindowSnapshot snap;
     snap.frames = counters.total();
-    snap.probabilities = counters.probabilities();
-    snap.entropies = counters.entropies();
+    counters.snapshot_into(snap.probabilities, snap.entropies);
     builder.add_window(snap);
   }
   return std::make_shared<const ids::GoldenTemplate>(builder.build());

@@ -74,8 +74,7 @@ struct FleetWorld {
       }
       WindowSnapshot snap;
       snap.frames = counters.total();
-      snap.probabilities = counters.probabilities();
-      snap.entropies = counters.entropies();
+      counters.snapshot_into(snap.probabilities, snap.entropies);
       builder.add_window(snap);
     }
     golden = std::make_shared<const GoldenTemplate>(
@@ -650,8 +649,7 @@ TEST(FleetEngineTest, ReloadRejectsIncompatibleModelsAtomically) {
     for (int i = 0; i < 40; ++i) counters.add(world.pool[4]);
     WindowSnapshot snap;
     snap.frames = counters.total();
-    snap.probabilities = counters.probabilities();
-    snap.entropies = counters.entropies();
+    counters.snapshot_into(snap.probabilities, snap.entropies);
     single_id.add_window(snap);
   }
   model::StoredModels bad;

@@ -35,7 +35,9 @@ TEST(BitCountersTest, MixedStreamProbabilities) {
   for (int i = 0; i < 11; ++i) {
     EXPECT_DOUBLE_EQ(counters.probability(i), 0.5);
   }
-  const auto entropies = counters.entropies();
+  BitValues probabilities;
+  BitValues entropies;
+  counters.snapshot_into(probabilities, entropies);
   for (double h : entropies) EXPECT_DOUBLE_EQ(h, 1.0);
 }
 
@@ -54,6 +56,28 @@ TEST(BitCountersTest, MatchesBruteForceRecount) {
       expected += (id >> (10 - bit)) & 1u;
     }
     EXPECT_EQ(counters.ones(bit), expected) << "bit " << bit;
+  }
+}
+
+TEST(BitCountersTest, SnapshotMatchesPerBitProbabilityAndEntropy) {
+  // snapshot_into shares one entropy among bits with equal counts; every
+  // value must still equal the per-bit computation bit for bit. Priority-
+  // clustered IDs repeat counts across bits.
+  for (const std::uint32_t mask : {0x7FFu, 0x00Fu, 0x700u}) {
+    util::Rng rng(mask);
+    BitCounters counters;
+    for (int i = 0; i < 997; ++i) {
+      counters.add(static_cast<std::uint32_t>(rng.below(0x800)) & mask);
+    }
+    BitValues probabilities;
+    BitValues entropies;
+    counters.snapshot_into(probabilities, entropies);
+    for (int bit = 0; bit < 11; ++bit) {
+      const auto b = static_cast<std::size_t>(bit);
+      EXPECT_EQ(probabilities[b], counters.probability(bit)) << bit;
+      EXPECT_EQ(entropies[b], binary_entropy(counters.probability(bit)))
+          << bit;
+    }
   }
 }
 
@@ -93,7 +117,10 @@ TEST_P(SingleIdStreamProperty, DegenerateDistributionHasZeroEntropy) {
         static_cast<double>((GetParam() >> (10 - bit)) & 1u);
     EXPECT_DOUBLE_EQ(counters.probability(bit), expected_bit);
   }
-  for (double h : counters.entropies()) EXPECT_DOUBLE_EQ(h, 0.0);
+  BitValues probabilities;
+  BitValues entropies;
+  counters.snapshot_into(probabilities, entropies);
+  for (double h : entropies) EXPECT_DOUBLE_EQ(h, 0.0);
 }
 
 INSTANTIATE_TEST_SUITE_P(IdGrid, SingleIdStreamProperty,
@@ -171,14 +198,14 @@ TEST(PairCountersTest, PairBoundedByMarginals) {
   for (int i = 0; i < 5000; ++i) {
     counters.add(static_cast<std::uint32_t>(rng.below(0x800)));
   }
-  const auto p = counters.marginals().probabilities();
+  const BitCounters& marginals = counters.marginals();
   for (int i = 0; i < 10; ++i) {
     for (int j = i + 1; j < 11; ++j) {
       const double q = counters.pair_probability(i, j);
-      const auto bi = static_cast<std::size_t>(i);
-      const auto bj = static_cast<std::size_t>(j);
-      EXPECT_LE(q, std::min(p[bi], p[bj]) + 1e-12);
-      EXPECT_GE(q, std::max(0.0, p[bi] + p[bj] - 1.0) - 1e-12);
+      const double pi = marginals.probability(i);
+      const double pj = marginals.probability(j);
+      EXPECT_LE(q, std::min(pi, pj) + 1e-12);
+      EXPECT_GE(q, std::max(0.0, pi + pj - 1.0) - 1e-12);
     }
   }
 }

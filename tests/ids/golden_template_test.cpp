@@ -14,8 +14,8 @@ WindowSnapshot window_with(double p, std::uint64_t frames = 1000) {
   snap.frames = frames;
   snap.start = 0;
   snap.end = util::kSecond;
-  snap.probabilities.assign(11, p);
-  snap.entropies.assign(11, binary_entropy(p));
+  snap.probabilities.fill(p);
+  snap.entropies.fill(binary_entropy(p));
   return snap;
 }
 
@@ -58,16 +58,6 @@ TEST(TemplateBuilderTest, RejectsEmptyWindow) {
                canids::ContractViolation);
 }
 
-TEST(TemplateBuilderTest, RejectsWidthMismatch) {
-  // The template counts the 11 bits of a standard identifier; a window of
-  // any other width is a caller bug.
-  WindowSnapshot wide = window_with(0.5);
-  wide.probabilities.assign(can::kExtIdBits, 0.5);
-  wide.entropies.assign(can::kExtIdBits, 1.0);
-  TemplateBuilder builder;
-  EXPECT_THROW(builder.add_window(wide), canids::ContractViolation);
-}
-
 TEST(TemplateBuilderTest, RejectsTooSmallMinWindows) {
   TemplateBuilder builder;
   builder.add_window(window_with(0.5));
@@ -78,7 +68,7 @@ TEST(TemplateBuilderTest, RejectsTooSmallMinWindows) {
 WindowSnapshot window_with_pairs(double p, double q,
                                  std::uint64_t frames = 1000) {
   WindowSnapshot snap = window_with(p, frames);
-  snap.pair_probabilities.assign(static_cast<std::size_t>(kPairCount), q);
+  snap.pair_probabilities.emplace().fill(q);
   return snap;
 }
 
@@ -87,9 +77,7 @@ TEST(GoldenTemplateTest, PairStatisticsAggregated) {
   builder.add_window(window_with_pairs(0.3, 0.10));
   builder.add_window(window_with_pairs(0.3, 0.20));
   const GoldenTemplate tpl = builder.build();
-  ASSERT_TRUE(tpl.has_pairs());
-  ASSERT_EQ(tpl.mean_pair_probability.size(),
-            static_cast<std::size_t>(kPairCount));
+  ASSERT_TRUE(tpl.has_pairs);
   for (std::size_t idx = 0; idx < tpl.mean_pair_probability.size(); ++idx) {
     EXPECT_NEAR(tpl.mean_pair_probability[idx], 0.15, 1e-12);
     EXPECT_DOUBLE_EQ(tpl.min_pair_probability[idx], 0.10);
@@ -98,11 +86,20 @@ TEST(GoldenTemplateTest, PairStatisticsAggregated) {
 }
 
 TEST(GoldenTemplateTest, MixedPairAvailabilityDropsPairs) {
-  TemplateBuilder builder;
-  builder.add_window(window_with_pairs(0.3, 0.1));
-  builder.add_window(window_with(0.3));  // no pair data
-  const GoldenTemplate tpl = builder.build();
-  EXPECT_FALSE(tpl.has_pairs());
+  // Either order: one window without pair data leaves the pair arrays zero.
+  for (const bool pairs_first : {true, false}) {
+    TemplateBuilder builder;
+    builder.add_window(pairs_first ? window_with_pairs(0.3, 0.1)
+                                   : window_with(0.3));
+    builder.add_window(pairs_first ? window_with(0.3)
+                                   : window_with_pairs(0.3, 0.1));
+    builder.add_window(window_with_pairs(0.3, 0.2));
+    const GoldenTemplate tpl = builder.build();
+    EXPECT_FALSE(tpl.has_pairs);
+    EXPECT_EQ(tpl.mean_pair_probability, PairValues{});
+    EXPECT_EQ(tpl.min_pair_probability, PairValues{});
+    EXPECT_EQ(tpl.max_pair_probability, PairValues{});
+  }
 }
 
 TEST(GoldenTemplateTest, RangeAccessorsRejectBadBit) {

@@ -62,8 +62,7 @@ class InferenceWorld {
     snap.frames = counters.total();
     snap.start = 0;
     snap.end = util::kSecond;
-    snap.probabilities = counters.marginals().probabilities();
-    snap.entropies = counters.marginals().entropies();
+    counters.marginals().snapshot_into(snap.probabilities, snap.entropies);
     if (with_pairs_) {
       snap.pair_probabilities = counters.pair_probabilities();
     }
@@ -184,7 +183,7 @@ TEST(InferenceEngineTest, SeededResultsArePinned) {
   const std::vector<std::uint32_t>& l = large.pool();
 
   WindowSnapshot without_pairs = pairs.make_window({{p[33], 150}}, 7);
-  without_pairs.pair_probabilities.clear();
+  without_pairs.pair_probabilities.reset();
   const std::vector<InferenceResult> results = {
       plain_engine.infer(plain.make_window({{plain.pool()[17], 150}}, 3)),
       pairs_engine.infer(pairs.make_window({{p[5], 110}, {p[52], 110}}, 4)),
@@ -329,7 +328,7 @@ TEST(InferenceEngineTest, SeededSweepIsPinned) {
         injected[id] = static_cast<int>(20 + rng.below(160));
       }
       WindowSnapshot window = world.make_window(injected, spec.seed * 100 + w);
-      if (w % 4 == 3) window.pair_probabilities.clear();
+      if (w % 4 == 3) window.pair_probabilities.reset();
       digest.add(engine.infer(window));
       ++windows;
     }
@@ -379,11 +378,11 @@ INSTANTIATE_TEST_SUITE_P(PoolPositions, InferencePositionSweep,
 
 TEST(PairInferenceTest, TemplateAndWindowPairsAreUsed) {
   const InferenceWorld world(99, 60, /*with_pairs=*/true);
-  ASSERT_TRUE(world.golden()->has_pairs());
+  ASSERT_TRUE(world.golden()->has_pairs);
   InferenceEngine engine(world.golden(), world.pool());
   const std::uint32_t injected = world.pool()[30];
   const WindowSnapshot attacked = world.make_window({{injected, 150}});
-  ASSERT_TRUE(attacked.has_pairs());
+  ASSERT_TRUE(attacked.pair_probabilities.has_value());
   const InferenceResult result = engine.infer(attacked);
   EXPECT_EQ(inference_hit_fraction({injected}, result.ranked_candidates), 1.0);
 }
@@ -449,7 +448,7 @@ TEST(PairInferenceTest, MissingWindowPairsFallsBackToMarginals) {
   const std::uint32_t injected = pairs_world.pool()[10];
   const WindowSnapshot no_pairs =
       plain_world.make_window({{injected, 150}}, 5);
-  ASSERT_FALSE(no_pairs.has_pairs());
+  ASSERT_FALSE(no_pairs.pair_probabilities.has_value());
   const InferenceResult result = engine.infer(no_pairs);
   EXPECT_EQ(inference_hit_fraction({injected}, result.ranked_candidates), 1.0);
 }

@@ -30,7 +30,10 @@ TEST(WindowAccumulatorTest, TimeWindowClosesAtBoundary) {
   EXPECT_EQ(snap->start, 0);
   EXPECT_EQ(snap->end, kSecond);
   // The boundary frame opened the new window.
-  EXPECT_EQ(acc.frames_in_current(), 1u);
+  const auto rest = acc.flush();
+  ASSERT_TRUE(rest.has_value());
+  EXPECT_EQ(rest->frames, 1u);
+  EXPECT_EQ(rest->start, kSecond);
 }
 
 TEST(WindowAccumulatorTest, WindowAlignedToFirstFrame) {
@@ -69,7 +72,6 @@ TEST(WindowAccumulatorTest, SnapshotVectorsMatchCounters) {
     EXPECT_DOUBLE_EQ(snap->probabilities[static_cast<std::size_t>(bit)], 0.5);
     EXPECT_DOUBLE_EQ(snap->entropies[static_cast<std::size_t>(bit)], 1.0);
   }
-  EXPECT_EQ(snap->width(), 11);
 }
 
 TEST(WindowAccumulatorTest, FlushEmitsPartialWindow) {
@@ -117,10 +119,8 @@ TEST(WindowAccumulatorTest, PairTrackingOnByDefault) {
   acc.add(2, can::CanId::standard(0x7FF));
   const auto snap = acc.flush();
   ASSERT_TRUE(snap.has_value());
-  ASSERT_TRUE(snap->has_pairs());
-  ASSERT_EQ(snap->pair_probabilities.size(),
-            static_cast<std::size_t>(kPairCount));
-  for (double q : snap->pair_probabilities) EXPECT_DOUBLE_EQ(q, 1.0);
+  ASSERT_TRUE(snap->pair_probabilities.has_value());
+  for (double q : *snap->pair_probabilities) EXPECT_DOUBLE_EQ(q, 1.0);
 }
 
 TEST(WindowAccumulatorTest, PairTrackingCanBeDisabled) {
@@ -131,7 +131,7 @@ TEST(WindowAccumulatorTest, PairTrackingCanBeDisabled) {
   acc.add(2, can::CanId::standard(0x7FF));
   const auto snap = acc.flush();
   ASSERT_TRUE(snap.has_value());
-  EXPECT_FALSE(snap->has_pairs());
+  EXPECT_FALSE(snap->pair_probabilities.has_value());
 }
 
 // ---- the extended-identifier rule ------------------------------------------

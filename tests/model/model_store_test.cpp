@@ -19,6 +19,7 @@
 #include "model/store.h"
 #include "util/binary_io.h"
 #include "util/rng.h"
+#include "util/write_error.h"
 
 namespace canids::model {
 namespace {
@@ -129,11 +130,13 @@ ids::GoldenTemplate trained_template() {
     snap.end = (w + 1) * util::kSecond;
     snap.frames = 50;
     for (int bit = 0; bit < can::kStdIdBits; ++bit) {
-      snap.entropies.push_back(0.05 + 0.08 * bit + 0.01 * w);
-      snap.probabilities.push_back(0.9 - 0.07 * bit + 0.02 * w);
+      const auto b = static_cast<std::size_t>(bit);
+      snap.entropies[b] = 0.05 + 0.08 * bit + 0.01 * w;
+      snap.probabilities[b] = 0.9 - 0.07 * bit + 0.02 * w;
     }
+    ids::PairValues& pairs = snap.pair_probabilities.emplace();
     for (int pair = 0; pair < ids::kPairCount; ++pair) {
-      snap.pair_probabilities.push_back(0.005 * pair + 0.01 * w);
+      pairs[static_cast<std::size_t>(pair)] = 0.005 * pair + 0.01 * w;
     }
     builder.add_window(snap);
   }
@@ -268,13 +271,12 @@ TEST(ModelCodecTest, PaperSizedTemplateRoundTripsBitExactly) {
   for (std::size_t w = 0; w < ids::kPaperTrainingWindows; ++w) {
     ids::WindowSnapshot snap;
     snap.frames = 900;
-    for (int bit = 0; bit < 11; ++bit) {
-      const double p = rng.uniform(0.1, 0.9);
-      snap.probabilities.push_back(p);
-      snap.entropies.push_back(ids::binary_entropy(p));
+    for (std::size_t b = 0; b < snap.probabilities.size(); ++b) {
+      snap.probabilities[b] = rng.uniform(0.1, 0.9);
+      snap.entropies[b] = ids::binary_entropy(snap.probabilities[b]);
     }
-    for (int pair = 0; pair < ids::kPairCount; ++pair) {
-      snap.pair_probabilities.push_back(rng.uniform(0.0, 0.4));
+    for (double& q : snap.pair_probabilities.emplace()) {
+      q = rng.uniform(0.0, 0.4);
     }
     builder.add_window(snap);
   }
@@ -454,7 +456,7 @@ TEST(ModelStoreTest, PackUnpackRoundTripsEveryModel) {
   ASSERT_NE(restored.golden, nullptr);
   ASSERT_NE(restored.muter, nullptr);
   ASSERT_NE(restored.interval, nullptr);
-  ASSERT_TRUE(restored.golden->has_pairs());
+  ASSERT_TRUE(restored.golden->has_pairs);
   EXPECT_EQ(*restored.golden, *models.golden);
   EXPECT_EQ(restored.muter->mean_entropy(), models.muter->mean_entropy());
   EXPECT_EQ(restored.muter->threshold(), models.muter->threshold());
@@ -546,6 +548,17 @@ TEST(ModelStoreTest, FileRoundTripReadsBundlesOnly) {
   EXPECT_THROW((void)load_models_file(dir / "missing.canids"),
                std::runtime_error);
   std::filesystem::remove_all(dir);
+}
+
+TEST(ModelStoreTest, UnwritableBundleFileIsAWriteError) {
+  StoredModels models;
+  models.golden =
+      std::make_shared<const ids::GoldenTemplate>(trained_template());
+  EXPECT_THROW(save_models_file("/nonexistent/dir/bundle.canids", models),
+               util::WriteError);
+  // The ~2 KB bundle fits in the stream buffer: only the flush fails.
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  EXPECT_THROW(save_models_file("/dev/full", models), util::WriteError);
 }
 
 TEST(ModelStoreTest, DescribeSectionSummarisesEachModel) {

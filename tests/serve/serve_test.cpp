@@ -248,8 +248,7 @@ struct ServeWorld {
       }
       ids::WindowSnapshot snap;
       snap.frames = counters.total();
-      snap.probabilities = counters.probabilities();
-      snap.entropies = counters.entropies();
+      counters.snapshot_into(snap.probabilities, snap.entropies);
       builder.add_window(snap);
     }
     golden = std::make_shared<const ids::GoldenTemplate>(

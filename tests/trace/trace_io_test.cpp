@@ -6,10 +6,12 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <string>
 
 #include "trace/binary_trace.h"
 #include "trace/candump.h"
 #include "trace/vspy_csv.h"
+#include "util/write_error.h"
 
 namespace canids::trace {
 namespace {
@@ -97,6 +99,27 @@ TEST(LoadSaveTest, FileRoundTrip) {
 TEST(LoadSaveTest, MissingFileThrows) {
   EXPECT_THROW((void)load_trace_file("/nonexistent/path/x.log"),
                std::runtime_error);
+}
+
+/// save_trace_file(path) must throw a util::WriteError naming `path`.
+void expect_write_error(const std::string& path, TraceFormat format) {
+  try {
+    save_trace_file(path, tiny_trace(), format);
+    ADD_FAILURE() << path << " reported as written";
+  } catch (const util::WriteError& e) {
+    EXPECT_EQ(std::string(e.what()).rfind(path + ": ", 0), 0u) << e.what();
+  }
+}
+
+TEST(LoadSaveTest, UnwritableFileThrowsNamingIt) {
+  expect_write_error("/nonexistent/path/x.log", TraceFormat::kCandump);
+  // A full device takes the open; tiny_trace() fits in the stream buffer,
+  // so only the final flush meets the lost write.
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  for (TraceFormat format :
+       {TraceFormat::kCandump, TraceFormat::kVspyCsv, TraceFormat::kBinary}) {
+    expect_write_error("/dev/full", format);
+  }
 }
 
 TEST(TraceRecorderTest, CapturesBusTraffic) {

@@ -50,9 +50,11 @@
 // registry listing and exit 1. A model bundle that cannot be opened exits
 // 66 from every command that reads one; one that opened but is malformed,
 // of another format version, or lacks the golden template a detector
-// needs exits 65. An output file (`fleet --alerts-out/--metrics-out`,
-// `serve --alerts-out/--events-out`) that lost a write exits 66 after the
-// run, naming the file on stderr.
+// needs exits 65. An output file that cannot be written in full exits 66,
+// naming the file on stderr: a capture (`simulate`, `convert`), a bundle
+// (`train`, `campaign --save-models`), a campaign report or partial, and
+// `fleet --alerts-out/--metrics-out` (via util::WriteError), and `serve
+// --alerts-out/--events-out` after the run.
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -96,6 +98,7 @@
 #include "util/csv.h"
 #include "util/table.h"
 #include "util/time.h"
+#include "util/write_error.h"
 
 using namespace canids;
 
@@ -176,8 +179,9 @@ void print_usage(std::FILE* out) {
                "lifecycle events as JSONL; `--telemetry-sample N` times "
                "every Nth hot-path batch into latency histograms "
                "(0/absent = no timing; verdicts are byte-identical either "
-               "way). An --alerts-out, --metrics-out or --events-out file "
-               "that cannot be written in full exits 66.\n");
+               "way). Any output file that cannot be written in full (a "
+               "capture, a bundle, a report, --alerts-out, --metrics-out, "
+               "--events-out) exits 66 naming it.\n");
 }
 
 int usage() {
@@ -360,16 +364,11 @@ int cmd_train(const std::string& out_path,
         std::move(interval_model));
   }
 
-  try {
-    model::save_models_file(out_path, models);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "%s\n", e.what());
-    return 66;  // EX_NOINPUT-ish
-  }
+  model::save_models_file(out_path, models);
   std::printf("model bundle (template %zu windows, pairs=%s; muter %s; "
               "interval %s) -> %s\n",
               models.golden->training_windows,
-              models.golden->has_pairs() ? "yes" : "no",
+              models.golden->has_pairs ? "yes" : "no",
               models.muter ? "yes" : "no",
               models.interval
                   ? (std::to_string(models.interval->tracked_ids()) + " IDs")
@@ -779,22 +778,14 @@ int cmd_fleet(const std::string& models_path,
         static_cast<unsigned long long>(totals.queue_dropped));
   }
   if (alerts_file) {
-    alerts_file->flush();
-    if (!*alerts_file) {
-      std::fprintf(stderr, "%s: cannot write alerts\n", alerts_out->c_str());
-      return 66;
-    }
+    util::check_written(*alerts_file, *alerts_out, "alerts");
     std::printf("alerts -> %s\n", alerts_out->c_str());
   }
   if (metrics_out) {
     fleet.publish_metrics();
     std::ofstream out(*metrics_out, std::ios::out | std::ios::trunc);
     out << telemetry::to_prometheus_text(*config.metrics);
-    if (!out) {
-      std::fprintf(stderr, "%s: cannot write exposition\n",
-                   metrics_out->c_str());
-      return 66;
-    }
+    util::check_written(out, *metrics_out, "exposition");
     if (!quiet) std::printf("metrics -> %s\n", metrics_out->c_str());
   }
   if (!run.errors.empty()) return 65;
@@ -1519,6 +1510,9 @@ int main(int argc, char** argv) {
   } catch (const model::UnreadableModelFile& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 66;  // EX_NOINPUT
+  } catch (const util::WriteError& e) {
+    std::fprintf(stderr, "%s\n", e.what());  // "<path>: cannot write ..."
+    return 66;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 65;  // EX_DATAERR
